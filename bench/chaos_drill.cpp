@@ -407,6 +407,17 @@ main(int argc, char **argv)
          "a quarantined shard never drained");
     gate(res.remapsPending == 0, "tenants still waiting for a remap");
     gate(summary.tenantsLive == 0, "tenants left live after shutdown");
+    gate(res.tenantsRecovering == 0,
+         "tenant(s) never re-converged on their goal");
+    // 0 is legal for the SLOs: the ladder often completes within the
+    // epoch that quarantined the shard, and a remapped tenant may depart
+    // before it converges.  They must just stay bounded by the run.
+    gate(res.maxEpochsToRemap <= summary.epoch,
+         "epochs-to-remap SLO unbounded");
+    gate(res.maxEpochsToDrain <= summary.epoch,
+         "epochs-to-drain SLO unbounded");
+    gate(res.maxEpochsBackToGoal <= summary.epoch,
+         "back-to-goal SLO unbounded");
     std::printf("%s\n", ok ? "PASS: chaos drill clean" : "FAIL");
     return ok ? 0 : 1;
 }

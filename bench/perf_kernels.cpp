@@ -15,7 +15,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <span>
 #include <vector>
 
@@ -104,12 +103,12 @@ BENCHMARK(BM_MolecularAccess)->Arg(0)->Arg(1);
 /* ------------------------------------------------------------------ */
 /* Access-path hot-path gate (docs/perf.md)                            */
 
-/** Hot-path kernel variants, one per lookup flavour. */
+/** Hot-path kernel variants, one per placement policy.  The values are
+ * the kernels' names in BENCH_hotpath.json (2 was a retired ablation). */
 enum HotpathVariant : int
 {
     kHotRandom = 0,
     kHotRandy = 1,
-    kHotRandyRowRestricted = 2,
     kHotLruDirect = 3,
 };
 
@@ -122,16 +121,13 @@ hotpathParams(int variant)
         policy = PlacementPolicy::Random;
         break;
       case kHotRandy:
-      case kHotRandyRowRestricted:
         policy = PlacementPolicy::Randy;
         break;
       case kHotLruDirect:
         policy = PlacementPolicy::LruDirect;
         break;
     }
-    MolecularCacheParams p = fig5MolecularParams(2_MiB, policy);
-    p.rowRestrictedLookup = variant == kHotRandyRowRestricted;
-    return p;
+    return fig5MolecularParams(2_MiB, policy);
 }
 
 /**
@@ -160,49 +156,6 @@ BM_HotpathMolecular(benchmark::State &state)
 BENCHMARK(BM_HotpathMolecular)
     ->Arg(kHotRandom)
     ->Arg(kHotRandy)
-    ->Arg(kHotRandyRowRestricted)
-    ->Arg(kHotLruDirect);
-
-/**
- * Batched access-path throughput: the same steady-state trace as
- * BM_HotpathMolecular, fed through MolecularCache::accessBatch in
- * 4096-record blocks.  Results are byte-identical to the scalar path
- * (tests/core/batch_differential_test.cpp pins this); the kernel
- * measures how much of the per-access fixed cost the batch plane
- * amortizes away.  Gated against BENCH_hotpath.json like the scalar
- * kernels.
- */
-void
-BM_HotpathBatch(benchmark::State &state)
-{
-    MolecularCache cache(hotpathParams(static_cast<int>(state.range(0))));
-    for (u32 a = 0; a < 4; ++a)
-        cache.registerApplication(Asid{static_cast<u16>(a)}, 0.1,
-                                  ClusterId{0}, a, 1);
-    const auto trace = sampleTrace(100000);
-    std::vector<AccessResult> results(trace.size());
-    for (const MemAccess &a : trace)
-        cache.access(a); // warmup pass: populate regions + fills
-    constexpr size_t kBlock = 4096;
-    size_t off = 0;
-    i64 items = 0;
-    for (auto _ : state) {
-        const size_t n = std::min(kBlock, trace.size() - off);
-        cache.accessBatch(trace.subspan(off, n),
-                          std::span<AccessResult>{results.data() + off, n});
-        benchmark::DoNotOptimize(results[off].hit);
-        items += static_cast<i64>(n);
-        off = off + n == trace.size() ? 0 : off + n;
-    }
-    // One iteration = one block; items_per_second is what makes this
-    // kernel comparable with the scalar (one-access-per-iteration) ones,
-    // and it is what the perf-baseline gate reads.
-    state.SetItemsProcessed(items);
-}
-BENCHMARK(BM_HotpathBatch)
-    ->Arg(kHotRandom)
-    ->Arg(kHotRandy)
-    ->Arg(kHotRandyRowRestricted)
     ->Arg(kHotLruDirect);
 
 /** Traditional set-associative reference point for the same trace. */

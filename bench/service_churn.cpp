@@ -412,6 +412,15 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(summary.tenantsDrained));
         ok = false;
     }
+    if (summary.tenantsLive != 0) {
+        std::printf("FAIL: %u tenant(s) still live at exit\n",
+                    summary.tenantsLive);
+        ok = false;
+    }
+    if (summary.invariantChecksRun < 1) {
+        std::printf("FAIL: the per-epoch invariant audit never ran\n");
+        ok = false;
+    }
     std::printf("%s\n", ok ? "PASS: churn drill clean" : "FAIL");
     return ok ? 0 : 1;
 }

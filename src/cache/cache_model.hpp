@@ -29,11 +29,11 @@ class CacheModel
 
     /**
      * Present a block of references; writes one outcome per reference.
-     * Semantically identical to calling access() in order — models
-     * override it purely to amortize per-reference overhead (the
-     * molecular cache's batch pipeline, docs/perf.md) and the
-     * differential suite pins byte-identical results against the scalar
-     * path.  @p in and @p out must be the same length.
+     * The default — and every model's — implementation calls access()
+     * in order, so a block is exactly equivalent to its references one
+     * by one.  It lets callers hand over a block per call (the
+     * simulator's warm-up boundary, molcached's one-lock-per-chunk
+     * Service::accessBatch).  @p in and @p out must be the same length.
      */
     virtual void accessBatch(std::span<const MemAccess> in,
                              std::span<AccessResult> out);

@@ -16,37 +16,6 @@ CacheStats::slot(Asid asid)
 }
 
 void
-CacheStats::record(Asid asid, bool hit, bool isWrite, Cycles latency)
-{
-    auto bump = [&](AccessCounters &c) {
-        ++c.accesses;
-        if (hit)
-            ++c.hits;
-        else
-            ++c.misses;
-        if (isWrite)
-            ++c.writes;
-        c.latencyCycles += latency;
-    };
-    bump(global_);
-    bump(slot(asid));
-}
-
-void
-CacheStats::recordHitBatch(Asid asid, u64 count, u64 writes,
-                           Cycles latencyEach)
-{
-    auto bump = [&](AccessCounters &c) {
-        c.accesses += count;
-        c.hits += count;
-        c.writes += writes;
-        c.latencyCycles += Cycles{latencyEach.value() * count};
-    };
-    bump(global_);
-    bump(slot(asid));
-}
-
-void
 CacheStats::recordWriteback(Asid asid)
 {
     ++global_.writebacks;

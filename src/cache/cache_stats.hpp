@@ -44,19 +44,18 @@ struct AccessCounters
 class CacheStats
 {
   public:
-    /** Record one access outcome. */
-    void record(Asid asid, bool hit, bool isWrite,
-                Cycles latency = Cycles{0});
-
-    /**
-     * Batched equivalent of @p count hit records for @p asid, @p writes
-     * of them writes, each with latency @p latencyEach.  The batch access
-     * plane accumulates its uniform home-tile hits in lane-local counters
-     * and flushes them through here; every counter is an integer sum, so
-     * the result is identical to count record() calls.
-     */
-    void recordHitBatch(Asid asid, u64 count, u64 writes,
-                        Cycles latencyEach);
+    /** Record one access outcome.  Inline: once per simulated access,
+     * resolving a seen ASID through the dense index. */
+    void
+    record(Asid asid, bool hit, bool isWrite, Cycles latency = Cycles{0})
+    {
+        const u32 v = asid.value();
+        AccessCounters &c = v < denseIndex_.size() && denseIndex_[v] != nullptr
+                                ? *denseIndex_[v]
+                                : slot(asid);
+        bump(global_, hit, isWrite, latency);
+        bump(c, hit, isWrite, latency);
+    }
 
     /** Record a dirty-line eviction. */
     void recordWriteback(Asid asid);
@@ -104,6 +103,19 @@ class CacheStats
     /** Counter block of @p asid, created on first sight.  Steady-state
      * calls resolve through the dense index — no map walk per access. */
     AccessCounters &slot(Asid asid);
+
+    static void
+    bump(AccessCounters &c, bool hit, bool isWrite, Cycles latency)
+    {
+        ++c.accesses;
+        if (hit)
+            ++c.hits;
+        else
+            ++c.misses;
+        if (isWrite)
+            ++c.writes;
+        c.latencyCycles += latency;
+    }
 
     AccessCounters global_;
     // Ordered authority for the reporting API; map nodes are stable so

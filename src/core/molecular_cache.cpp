@@ -344,31 +344,39 @@ MolecularCache::setSharedMolecule(MoleculeId id, bool shared)
 }
 
 Molecule *
-MolecularCache::probeTile(TileId tile, const std::vector<MoleculeId> &mols,
+MolecularCache::probeTile(Tile &tile, const std::vector<MoleculeId> &mols,
                           Addr addr)
 {
-    Tile &t = tiles_[tile.value()];
+    // Slot of line index li in molecule id: (id - first) * linesPerMol
+    // + li — a pure offset computation into the tile's contiguous
+    // arrays, no per-molecule pointer chase.  No software prefetch: the
+    // scanned slots are usually cache-resident, and prefetching two
+    // probes ahead measured ~10 % slower end to end (docs/perf.md).
+    const Addr tag = addr >> tagShift_;
+    const u32 li =
+        static_cast<u32>(addr >> lineShift_) & (linesPerMol_ - 1);
+    const Addr *tags = tile.lineTags();
+    const u8 *flags = tile.lineFlags();
+    const MoleculeId first = tile.firstMolecule();
     for (const MoleculeId id : mols) {
-        Molecule &m = t.molecule(id);
-        switch (m.probe(addr)) {
-          case Molecule::ProbeOutcome::Hit:
-            return &m;
-          case Molecule::ProbeOutcome::Miss:
-            break;
-          case Molecule::ProbeOutcome::Poisoned: {
+        const u32 slot = (id - first) * linesPerMol_ + li;
+        const u8 f = flags[slot];
+        if ((f & kLineValid) == 0)
+            continue;
+        if ((f & kLinePoisoned) != 0) [[unlikely]] {
             // The probe read data + tag + parity; the poisoned slot
             // failed the parity check, is dropped, and reads as a miss.
-            const auto dropped = m.scrubIfPoisoned(addr);
+            const auto dropped = tile.molecule(id).scrubIfPoisoned(addr);
             MOLCACHE_ENSURE(dropped.has_value(), "poisoned slot vanished");
             ++faultStats_.transientFlipsDetected;
             if (dropped->dirty)
                 ++faultStats_.dirtyLinesLost;
-            directory_.noteEviction(
-                LineAddr{dropped->addr},
-                ClusterId{tile.value() / params_.tilesPerCluster});
-            break;
-          }
+            directory_.noteEviction(LineAddr{dropped->addr},
+                                    tile.cluster());
+            continue;
         }
+        if (tags[slot] == tag)
+            return &tile.molecule(id);
     }
     return nullptr;
 }
@@ -379,24 +387,20 @@ MolecularCache::tileAccessEnergyNj(u32 probes) const
     return tileFixedNj_ + probes * molProbeNj_;
 }
 
-MolecularCache::WayMemoEntry *
-MolecularCache::wayMemoSlot(Region &region, Addr addr)
+void
+MolecularCache::revalidateWayMemo(const Region &region)
 {
     WayMemo &memo = wayMemo_[region.asid().value()];
     // Predictions are cheap to keep and expensive to re-learn, so the
     // table is only dropped when live re-validation cannot catch the
     // staleness: a re-homing (a level-0 prediction would now be a
-    // remote hit), a capacity growth that outran the table (collision
-    // pressure, not correctness), or — in the row-restricted ablation —
-    // any generation/shared-bit move, because row membership of a
-    // molecule is not re-checkable in O(1) at probe time.
+    // remote hit) or a capacity growth that outran the table (collision
+    // pressure, not correctness).  Size and home tile only move with a
+    // generation bump, so this runs once per generation.
     const u64 lines =
         std::max<u64>(static_cast<u64>(region.size()) * linesPerMol_, 64);
-    const bool strict =
-        params_.rowRestrictedLookup &&
-        (memo.gen != region.generation() || memo.sharedGen != sharedGen_);
     if (memo.slots.size() < 2 * lines ||
-        memo.homeTile != region.homeTile() || strict) [[unlikely]] {
+        memo.homeTile != region.homeTile()) {
         // 2x the capacity in lines: halves hash collisions for an
         // 8-byte-per-entry table whose footprint stays well under the
         // modeled line state it shadows.  assign() reuses the vector's
@@ -404,29 +408,19 @@ MolecularCache::wayMemoSlot(Region &region, Addr addr)
         const u64 entries = std::bit_ceil(2 * lines);
         memo.slots.assign(entries, WayMemoEntry{});
         memo.mask = entries - 1;
-        memo.gen = region.generation();
-        memo.sharedGen = sharedGen_;
         memo.homeTile = region.homeTile();
         ++wayMemoInvalidations_;
     }
-    return &memo.slots[(addr >> lineShift_) & memo.mask];
+    memo.gen = region.generation();
 }
 
 void
 MolecularCache::resetWayMemo(Asid asid)
 {
-    // Register/unregister come through here, so the batch lane resets
-    // with the memo table.  A successor region under a recycled ASID
-    // restarts its generation counter (and the map node can even reuse
-    // the freed address), so the lane's stamp check alone could accept
-    // dangling pointers; the explicit reset makes staleness structural.
-    if (asid.value() < lanes_.size())
-        lanes_[asid.value()] = BatchLane{};
     if (asid.value() >= wayMemo_.size())
         return;
     WayMemo &memo = wayMemo_[asid.value()];
     memo.gen = WayMemo::kNoStamp;
-    memo.sharedGen = WayMemo::kNoStamp;
     memo.slots.clear();
 }
 
@@ -436,13 +430,9 @@ MolecularCache::access(const MemAccess &a)
     if (a.asid == kInvalidAsid)
         fatal("access with the invalid ASID");
     ++tick_;
-    applyDueFaults();
-    return accessTicked(a);
-}
+    if (tick_ >= injector_.nextDueTick()) [[unlikely]]
+        applyDueFaults();
 
-AccessResult
-MolecularCache::accessTicked(const MemAccess &a)
-{
     Region &region = regionFor(a.asid);
     Tile &home = tiles_[region.homeTile().value()];
     home.notePortAccess();
@@ -454,8 +444,7 @@ MolecularCache::accessTicked(const MemAccess &a)
     const std::vector<MoleculeId> &shared_home =
         sharedByTile_[region.homeTile().value()];
     const ProbeSchedule &plan = region.probeSchedule(
-        a.addr, params_.rowRestrictedLookup, sharedGen_,
-        shared_home.empty() ? nullptr : &shared_home);
+        sharedGen_, shared_home.empty() ? nullptr : &shared_home);
 
     u32 probes = static_cast<u32>(plan.home.size());
     double energy = tileAccessEnergyNj(probes);
@@ -466,8 +455,8 @@ MolecularCache::accessTicked(const MemAccess &a)
     u8 level = 0;
 
     // Way-memoization (docs/perf.md): verify the last-hit molecule for
-    // this (row, line-index) key with a single tag probe before paying
-    // the full schedule walk.  The verification makes the shortcut
+    // this line address with a single tag probe before paying the full
+    // schedule walk.  The verification makes the shortcut
     // self-correcting, and probes/energy/latency above were already
     // charged for the whole home schedule — the model cannot tell the
     // difference.
@@ -495,12 +484,12 @@ MolecularCache::accessTicked(const MemAccess &a)
             }
         }
         if (hit_mol == nullptr) {
-            hit_mol = probeTile(region.homeTile(), plan.home, a.addr);
+            hit_mol = probeTile(home, plan.home, a.addr);
             if (hit_mol != nullptr)
                 *memo_slot = WayMemoEntry{tag_bits, hit_mol->id()};
         }
     } else {
-        hit_mol = probeTile(region.homeTile(), plan.home, a.addr);
+        hit_mol = probeTile(home, plan.home, a.addr);
     }
 
     if (hit_mol == nullptr && !plan.remote.empty()) {
@@ -513,9 +502,10 @@ MolecularCache::accessTicked(const MemAccess &a)
             latency += params_.ulmoHopCycles + params_.asidStageCycles +
                        params_.moleculeAccessCycles;
             probes += n;
-            tiles_[tp.tile.value()].notePortAccess();
+            Tile &remote = tiles_[tp.tile.value()];
+            remote.notePortAccess();
             ulmo.noteRemoteProbes(n);
-            hit_mol = probeTile(tp.tile, tp.molecules, a.addr);
+            hit_mol = probeTile(remote, tp.molecules, a.addr);
             if (hit_mol != nullptr) {
                 ulmo.noteRemoteHit();
                 level = 1;
@@ -553,7 +543,11 @@ MolecularCache::accessTicked(const MemAccess &a)
     if (params_.enableEnergy)
         energyNj_ += energy;
 
-    maybeResize(region);
+    // Resize scheduling: the global schemes are due on the access tick;
+    // the per-app scheme checks the region's own deadline.
+    if (tick_ >= nextGlobalResize_ ||
+        params_.resizeScheme == ResizeScheme::PerAppAdaptive)
+        maybeResize(region);
 
     if (auditInterval_ != 0 && auditHook_ && tick_ % auditInterval_ == 0)
         auditHook_(*this);
@@ -564,325 +558,6 @@ MolecularCache::accessTicked(const MemAccess &a)
     result.latencyCycles = latency;
     result.level = level;
     return result;
-}
-
-void
-MolecularCache::accessBatch(std::span<const MemAccess> in,
-                            std::span<AccessResult> out)
-{
-    MOLCACHE_EXPECT(in.size() == out.size(),
-                    "accessBatch span length mismatch");
-    const size_t n = in.size();
-    size_t i = 0;
-    // The fast plane hoists revalidation behind generation stamps and
-    // defers uniform bookkeeping, which requires: way-memoization live
-    // (its poison fuse also guarantees no corrupt line exists anywhere),
-    // no guardian (its noteAccess hook observes every access in order),
-    // no audit hook (audits expect quiescent, fully-applied counters)
-    // and whole-region lookup (row-restricted schedules vary per
-    // address).  Everything else replays through the scalar reference
-    // path — identical by construction.
-    const bool eligible = wayMemoOn_ && guardian_ == nullptr &&
-                          !params_.rowRestrictedLookup &&
-                          !(auditInterval_ != 0 && auditHook_);
-    if (!eligible) {
-        for (; i < n; ++i)
-            out[i] = access(in[i]);
-        return;
-    }
-    while (i < n) {
-        i = batchFastRun(in.data(), out.data(), i, n);
-        if (i < n && !wayMemoOn_) {
-            // A transient flip mid-block blew the fuse: finish scalar.
-            for (; i < n; ++i)
-                out[i] = access(in[i]);
-        }
-    }
-}
-
-size_t
-MolecularCache::batchFastRun(const MemAccess *in, AccessResult *out,
-                             size_t i, size_t n)
-{
-    const Cycles hit_latency =
-        params_.asidStageCycles + params_.moleculeAccessCycles;
-    const bool per_app =
-        params_.resizeScheme == ResizeScheme::PerAppAdaptive;
-    const bool lru = params_.placement == PlacementPolicy::LruDirect;
-    const bool energy_on = params_.enableEnergy;
-    const u32 line_mask = linesPerMol_ - 1;
-    // Running energy total in a register: the adds happen in the same
-    // per-record order as the scalar path, so the flushed value is
-    // bit-identical to accumulating in memory.
-    double e_acc = energyNj_;
-    Tick fault_due = injector_.nextDueTick();
-
-    for (; i < n; ++i) {
-        const MemAccess a = in[i];
-        if (a.asid == kInvalidAsid)
-            fatal("access with the invalid ASID");
-        ++tick_;
-        if (tick_ >= fault_due) [[unlikely]] {
-            // Fault events mutate membership and can poison lines; run
-            // the record through the scalar tail with everything
-            // flushed and quiescent.
-            energyNj_ = e_acc;
-            flushBatchLanes();
-            applyDueFaults();
-            out[i] = accessTicked(a);
-            e_acc = energyNj_;
-            fault_due = injector_.nextDueTick();
-            if (!wayMemoOn_) {
-                energyNj_ = e_acc;
-                return i + 1;
-            }
-            continue;
-        }
-
-        const u32 v = a.asid.value();
-        if (v >= lanes_.size()) [[unlikely]]
-            lanes_.resize(v + 1u);
-        BatchLane &lane = lanes_[v];
-        Region *rp = v < regionIndex_.size() ? regionIndex_[v] : nullptr;
-        if (rp == nullptr || lane.gen != rp->generation() ||
-            lane.sharedGen != sharedGen_) [[unlikely]] {
-            flushBatchLane(lane);
-            rp = &regionFor(a.asid); // may auto-register the ASID
-            refreshBatchLane(lane, *rp, a.addr);
-        }
-        Region &region = *rp;
-
-        u32 probes = lane.homeProbes;
-        double energy = lane.homeEnergy;
-        Cycles latency = hit_latency;
-        u8 level = 0;
-
-        // Way-memo prediction first, exactly as the scalar path.
-        Molecule *hit_mol = nullptr;
-        WayMemoEntry *memo_slot = nullptr;
-        const u32 tag_bits = static_cast<u32>(a.addr >> lineShift_ >> 10);
-        if (lane.regionSize != 0) {
-            memo_slot = &lane.slots[(a.addr >> lineShift_) & lane.mask];
-            if (memo_slot->mol != kInvalidMolecule &&
-                memo_slot->tagBits == tag_bits) {
-                Molecule &m = molecule(memo_slot->mol);
-                if (m.admits(a.asid) && m.tile() == region.homeTile() &&
-                    m.probe(a.addr) == Molecule::ProbeOutcome::Hit) {
-                    hit_mol = &m;
-                    ++lane.pendMemoHits;
-                } else {
-                    memo_slot->mol = kInvalidMolecule;
-                    ++lane.pendMispredicts;
-                }
-            }
-        }
-
-        if (hit_mol == nullptr) {
-            // Mispredict / no prediction: scan the home schedule over
-            // the tile's SoA tag view.  In-order first match preserves
-            // probeTile()'s semantics; the fuse guarantees no poisoned
-            // line exists, and the flag check keeps even that case from
-            // reading a corrupt slot as a hit.
-            const Addr tag = a.addr >> tagShift_;
-            const u32 li = static_cast<u32>(a.addr >> lineShift_) &
-                           line_mask;
-            const u32 *base = lane.slotBase.data();
-            const u32 count = lane.homeProbes;
-            u32 j = 0;
-            for (; j < count; ++j) {
-                if (j + 2 < count) {
-                    const u32 pf = base[j + 2] + li;
-                    __builtin_prefetch(lane.flags + pf, 0, 1);
-                    __builtin_prefetch(lane.tags + pf, 0, 1);
-                }
-                const u32 slot = base[j] + li;
-                const u8 f = lane.flags[slot];
-                if ((f & (kLineValid | kLinePoisoned)) == kLineValid &&
-                    lane.tags[slot] == tag)
-                    break;
-            }
-            if (j < count) {
-                hit_mol = lane.homeMols[j];
-                if (memo_slot != nullptr)
-                    *memo_slot = WayMemoEntry{tag_bits, hit_mol->id()};
-            }
-        }
-
-        if (hit_mol == nullptr && !lane.plan->remote.empty()) [[unlikely]] {
-            // Tile miss with a multi-tile region: Ulmo escalation, same
-            // as the scalar path (direct accounting — remote records
-            // are not uniform, so nothing about them is deferred).
-            Ulmo &ulmo = ulmos_[region.homeCluster().value()];
-            ulmo.noteTileMiss();
-            for (const TileProbes &tp : lane.plan->remote) {
-                const u32 m = static_cast<u32>(tp.molecules.size());
-                energy += ulmoHopNj_ + tileAccessEnergyNj(m);
-                latency += params_.ulmoHopCycles +
-                           params_.asidStageCycles +
-                           params_.moleculeAccessCycles;
-                probes += m;
-                tiles_[tp.tile.value()].notePortAccess();
-                ulmo.noteRemoteProbes(m);
-                hit_mol = probeTile(tp.tile, tp.molecules, a.addr);
-                if (hit_mol != nullptr) {
-                    ulmo.noteRemoteHit();
-                    level = 1;
-                    break;
-                }
-            }
-        }
-
-        const bool hit = hit_mol != nullptr;
-        if (hit && level == 0 && !a.isWrite()) [[likely]] {
-            // The uniform record: a home-tile read hit.  Everything the
-            // scalar path would add is a constant of the lane — defer.
-            ++lane.pendHits;
-            if (lru)
-                hit_mol->noteTouch(a.addr, tick_);
-        } else if (hit && level == 0) {
-            // Home-tile write hit: still uniform in probes/latency, but
-            // the coherence write path runs inline.
-            ++lane.pendHits;
-            ++lane.pendWrites;
-            if (lru)
-                hit_mol->noteTouch(a.addr, tick_);
-            hit_mol->markDirty(a.addr);
-            const LineAddr line = lineAddrOf(a.addr, params_.lineSize);
-            applyInvalidations(
-                directory_.noteWrite(line, region.homeCluster()), line,
-                a.asid, region.homeCluster());
-        } else {
-            // Remote hit or miss: replay the scalar bookkeeping
-            // directly (integer sums commute with the deferred flush).
-            lane.home->notePortAccess();
-            if (hit) {
-                if (lru)
-                    hit_mol->noteTouch(a.addr, tick_);
-                if (a.isWrite()) {
-                    hit_mol->markDirty(a.addr);
-                    const LineAddr line =
-                        lineAddrOf(a.addr, params_.lineSize);
-                    applyInvalidations(
-                        directory_.noteWrite(line, region.homeCluster()),
-                        line, a.asid, region.homeCluster());
-                }
-            } else {
-                level = 2;
-                latency += params_.missPenaltyCycles;
-                energy += handleMiss(region, a);
-            }
-            region.noteAccess(hit);
-            stats_.record(a.asid, hit, a.isWrite(), latency);
-            intervalAccesses_.increment();
-            if (!hit)
-                intervalMisses_.increment();
-            probesTotal_ += probes;
-            enabledIntegral_ += region.size();
-        }
-        if (energy_on)
-            e_acc += energy;
-        out[i] = AccessResult{hit, energy_on ? energy : 0.0, latency,
-                              level};
-
-        // Resize scheduling, per record as in the scalar path.  The
-        // global schemes gate on the access tick, the per-app scheme on
-        // the region's access count (tracked as a lane countdown so the
-        // deferred counters need no flush to evaluate the gate).
-        if (per_app) {
-            if (--lane.accUntilResize <= 0) [[unlikely]] {
-                flushBatchLane(lane);
-                maybeResize(region);
-                lane.accUntilResize =
-                    static_cast<i64>(region.nextResizeTick) -
-                    static_cast<i64>(region.accesses());
-            }
-        } else if (tick_ >= nextGlobalResize_) [[unlikely]] {
-            energyNj_ = e_acc;
-            flushBatchLanes();
-            maybeResize(region);
-            e_acc = energyNj_;
-        }
-    }
-
-    energyNj_ = e_acc;
-    flushBatchLanes();
-    return n;
-}
-
-void
-MolecularCache::refreshBatchLane(BatchLane &lane, Region &region,
-                                 Addr addr)
-{
-    lane.region = &region;
-    lane.gen = region.generation();
-    lane.sharedGen = sharedGen_;
-    Tile &home = tiles_[region.homeTile().value()];
-    lane.home = &home;
-    lane.tags = home.lineTags();
-    lane.flags = home.lineFlags();
-    lane.regionSize = region.size();
-    const std::vector<MoleculeId> &shared_home =
-        sharedByTile_[region.homeTile().value()];
-    const ProbeSchedule &plan = region.probeSchedule(
-        addr, params_.rowRestrictedLookup, sharedGen_,
-        shared_home.empty() ? nullptr : &shared_home);
-    lane.plan = &plan;
-    lane.homeProbes = static_cast<u32>(plan.home.size());
-    lane.homeEnergy = tileAccessEnergyNj(lane.homeProbes);
-    lane.slotBase.clear();
-    lane.homeMols.clear();
-    for (const MoleculeId id : plan.home) {
-        lane.slotBase.push_back((id - home.firstMolecule()) *
-                                linesPerMol_);
-        lane.homeMols.push_back(&home.molecule(id));
-    }
-    if (!region.empty()) {
-        // Revalidate/rebuild the memo table under the same conditions
-        // (and with the same invalidation accounting) as the scalar
-        // path's per-access call — membership moves always come through
-        // a generation bump, so refresh time is the first access after
-        // staleness in both planes.
-        wayMemoSlot(region, addr);
-        WayMemo &memo = wayMemo_[region.asid().value()];
-        lane.slots = memo.slots.data();
-        lane.mask = memo.mask;
-    } else {
-        lane.slots = nullptr;
-        lane.mask = 0;
-    }
-    if (params_.resizeScheme == ResizeScheme::PerAppAdaptive)
-        lane.accUntilResize = static_cast<i64>(region.nextResizeTick) -
-                              static_cast<i64>(region.accesses());
-}
-
-void
-MolecularCache::flushBatchLane(BatchLane &lane)
-{
-    wayMemoHits_ += lane.pendMemoHits;
-    wayMemoMispredicts_ += lane.pendMispredicts;
-    lane.pendMemoHits = 0;
-    lane.pendMispredicts = 0;
-    if (lane.pendHits == 0)
-        return;
-    Region &region = *lane.region;
-    region.noteAccessHits(lane.pendHits);
-    stats_.recordHitBatch(region.asid(), lane.pendHits, lane.pendWrites,
-                          params_.asidStageCycles +
-                              params_.moleculeAccessCycles);
-    lane.home->notePortAccesses(lane.pendHits);
-    intervalAccesses_.increment(lane.pendHits);
-    probesTotal_ += lane.pendHits * lane.homeProbes;
-    enabledIntegral_ +=
-        lane.pendHits * static_cast<u64>(lane.regionSize);
-    lane.pendHits = 0;
-    lane.pendWrites = 0;
-}
-
-void
-MolecularCache::flushBatchLanes()
-{
-    for (BatchLane &lane : lanes_)
-        flushBatchLane(lane);
 }
 
 double

@@ -88,21 +88,6 @@ class MolecularCache final : public CacheModel, private MoleculeBroker
 
     // CacheModel interface -------------------------------------------------
     AccessResult access(const MemAccess &access) override;
-    /**
-     * Batched access plane (docs/perf.md): processes the block through
-     * per-ASID lanes that hoist the probe-schedule and way-memo
-     * revalidation behind the same generation stamps, scan the home
-     * tile's struct-of-arrays tag view with software prefetch, and
-     * accumulate the uniform home-hit bookkeeping in lane-local
-     * counters flushed at slow-path boundaries.  Byte-identical to
-     * calling access() in order — pinned by the differential suite
-     * (tests/core/batch_differential_test.cpp).  Configurations the
-     * lanes cannot hoist safely (guardian hooks, audit hooks,
-     * row-restricted lookup, memoization off or poisoned by a fault)
-     * fall back to the scalar reference loop.
-     */
-    void accessBatch(std::span<const MemAccess> in,
-                     std::span<AccessResult> out) override;
     const CacheStats &stats() const override { return stats_; }
     std::string name() const override;
     void resetStats() override;
@@ -283,8 +268,14 @@ class MolecularCache final : public CacheModel, private MoleculeBroker
                    : id.value() / params_.moleculesPerTile;
     }
 
-    /** Probe @p mols on @p tile; @return the hit molecule or nullptr. */
-    Molecule *probeTile(TileId tile, const std::vector<MoleculeId> &mols,
+    /**
+     * Probe @p mols, in order, on @p tile; @return the first hit
+     * molecule or nullptr.  Scans the tile's struct-of-arrays tag view
+     * (Tile::lineTags); a poisoned slot fails its parity check, is
+     * scrubbed and reads as a miss.  The one tag-probe loop for home
+     * and remote tiles alike.
+     */
+    Molecule *probeTile(Tile &tile, const std::vector<MoleculeId> &mols,
                         Addr addr);
 
     /** One way-memoization prediction: the last molecule that produced
@@ -303,70 +294,27 @@ class MolecularCache final : public CacheModel, private MoleculeBroker
 
     /**
      * The way-memoization slot @p addr hashes to in @p region's table.
-     * Revalidates the per-region table against the same stamps as
-     * Region::probeSchedule and rebuilds it on mismatch (sized to the
-     * region's capacity in lines, rounded up to a power of two).
+     * Revalidates the per-region table when the region's generation
+     * moved (revalidateWayMemo).
      */
-    WayMemoEntry *wayMemoSlot(Region &region, Addr addr);
+    WayMemoEntry *
+    wayMemoSlot(Region &region, Addr addr)
+    {
+        WayMemo &memo = wayMemo_[region.asid().value()];
+        if (memo.gen != region.generation()) [[unlikely]]
+            revalidateWayMemo(region);
+        return &memo.slots[(addr >> lineShift_) & memo.mask];
+    }
+
+    /** Rebuild @p region's memo table when the region outgrew it or was
+     * re-homed (sized to the region's capacity in lines, rounded up to
+     * a power of two), then stamp it with the region's generation. */
+    void revalidateWayMemo(const Region &region);
 
     /** Drop @p asid's memo table unconditionally (ASID recycling: a new
      * region's generation counter restarts and could collide with the
      * stale stamp). */
     void resetWayMemo(Asid asid);
-
-    /** access() minus the tick/fault prologue — the shared tail the
-     * batch plane's slow records reuse so scalar and batched processing
-     * stay one implementation. */
-    AccessResult accessTicked(const MemAccess &access);
-
-    /**
-     * One per-ASID lane of the batch access plane: everything the scalar
-     * path re-derives per access, hoisted once and re-validated by the
-     * same (region generation, shared generation) stamps as the probe
-     * schedules, plus the deferred accumulators for the uniform
-     * home-tile-hit records.  Pointers target stable storage (region map
-     * nodes, tile SoA arrays, way-memo slot buffers); the stamp check
-     * gates every dereference, so a stale lane is refreshed before any
-     * pointer is used.
-     */
-    struct BatchLane
-    {
-        Region *region = nullptr;
-        u64 gen = ~0ull;
-        u64 sharedGen = ~0ull;
-        /** Way-memo table view (null while the region is empty). */
-        WayMemoEntry *slots = nullptr;
-        u64 mask = 0;
-        /** Home-tile SoA view + per-probe slot offsets of the schedule. */
-        Tile *home = nullptr;
-        const Addr *tags = nullptr;
-        const u8 *flags = nullptr;
-        const ProbeSchedule *plan = nullptr;
-        std::vector<u32> slotBase;
-        std::vector<Molecule *> homeMols;
-        u32 homeProbes = 0;
-        double homeEnergy = 0.0;
-        u32 regionSize = 0;
-        /** PerAppAdaptive resize countdown (accesses until due). */
-        i64 accUntilResize = 0;
-        /** @{ Deferred accumulators: fast home-hit records only. */
-        u64 pendHits = 0;
-        u64 pendWrites = 0;
-        u64 pendMemoHits = 0;
-        u64 pendMispredicts = 0;
-        /** @} */
-    };
-
-    /** Process records from @p i in the fast plane; returns the index
-     * after the last record consumed (early when a fault event disabled
-     * way-memoization mid-run).  Leaves all deferred state flushed. */
-    size_t batchFastRun(const MemAccess *in, AccessResult *out, size_t i,
-                        size_t n);
-    /** Rebuild @p lane against @p region's current membership. */
-    void refreshBatchLane(BatchLane &lane, Region &region, Addr addr);
-    /** Flush one lane's / every lane's deferred accumulators. */
-    void flushBatchLane(BatchLane &lane);
-    void flushBatchLanes();
 
     /** Fill the miss (line-multiple aware) into the region.
      * @return dynamic energy of the line fills (nJ). */
@@ -441,14 +389,11 @@ class MolecularCache final : public CacheModel, private MoleculeBroker
     // Way-memoization state (docs/perf.md).  One table per ASID,
     // parallel to regionIndex_.  Entries survive region membership
     // churn: a prediction is re-validated live (ASID gate + home tile +
-    // the verification probe), so only a re-homing — or any generation
-    // move in the row-restricted ablation, where a stale entry could
-    // hit a molecule outside the address's row — drops the table.
+    // the verification probe), so only a re-homing drops the table.
     struct WayMemo
     {
         static constexpr u64 kNoStamp = ~0ull;
-        u64 gen = kNoStamp;
-        u64 sharedGen = kNoStamp;
+        u64 gen = kNoStamp; ///< region generation last revalidated at
         u64 mask = 0; ///< slots.size() - 1 (power-of-two table)
         TileId homeTile{};
         std::vector<WayMemoEntry> slots;
@@ -468,11 +413,6 @@ class MolecularCache final : public CacheModel, private MoleculeBroker
     u32 tagShift_ = 0;
     /** @} */
 
-    /** Batch-plane lanes, indexed by ASID value (parallel to
-     * regionIndex_).  Persistent across accessBatch calls so steady
-     * state never rebuilds them; all deferred counters are zero outside
-     * a call. */
-    std::vector<BatchLane> lanes_;
     // moleculesPerTile as a shift (-1 when not a power of two).
     i32 molShift_ = -1;
 

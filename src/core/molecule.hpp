@@ -31,8 +31,8 @@ struct Eviction
 
 /** @{ Per-line state bits of the struct-of-arrays tag view.  Line state
  * is split into three parallel arrays (tags / recency stamps / flag
- * bytes) so the batched access path can scan a tile's slots as
- * contiguous memory with software prefetch (docs/perf.md). */
+ * bytes) so the access path's tile probe can scan a tile's slots as
+ * contiguous memory (docs/perf.md). */
 inline constexpr u8 kLineValid = 1u << 0;
 inline constexpr u8 kLineDirty = 1u << 1;
 inline constexpr u8 kLinePoisoned = 1u << 2;

@@ -217,22 +217,15 @@ struct MolecularCacheParams
     RngKind rngKind = RngKind::Pcg32;
     u64 seed = 1;
 
-    /**
-     * Ablation: with Randy placement, restrict lookup to the molecules of
-     * the address's replacement row instead of the whole region.  Unsafe
-     * across rowMax changes (stale rows), so default off as in the paper.
-     */
-    bool rowRestrictedLookup = false;
-
     /** Grow a partition even when its miss rate did not improve (the
      * paper's Algorithm 1 grows only while improving; see DESIGN.md). */
     bool growWhenNotImproving = false;
 
     /**
      * Way-memoization probe skipping (Ishihara & Fallah, PAPERS.md): a
-     * dense last-hit-molecule table per (ASID, row, slot), probed before
-     * the full schedule and invalidated by the same generation stamps as
-     * the memoized probe schedules.  A pure simulator fast path — every
+     * dense last-hit-molecule table per ASID, probed before the full
+     * schedule and revalidated by the same generation stamp as the
+     * memoized probe schedule.  A pure simulator fast path — every
      * modeled counter (probes, energy, latency) is still charged as if
      * the full home-tile schedule were searched, so results stay
      * byte-identical with this off or on (docs/perf.md).

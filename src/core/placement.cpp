@@ -1,44 +1,17 @@
 #include "core/placement.hpp"
 
-#include <algorithm>
-
 namespace molcache {
 
 LookupPlan
-planLookup(const Region &region, TileId requestorTile, Addr addr,
-           bool rowRestricted)
+planLookup(const Region &region, TileId requestorTile)
 {
     LookupPlan plan;
     plan.home.tile = requestorTile;
-
-    const bool restrict_row =
-        rowRestricted && region.policy() == PlacementPolicy::Randy &&
-        !region.empty();
-    // With row restriction only the molecules of the address's row are
-    // eligible anywhere in the hierarchy.
-    const std::vector<MoleculeId> *row = nullptr;
-    if (restrict_row)
-        row = &region.rows()[region.rowOf(addr).value()];
-
-    auto eligible = [&](MoleculeId mol) {
-        return !restrict_row ||
-               std::find(row->begin(), row->end(), mol) != row->end();
-    };
-
     for (const auto &[tile, mols] : region.byTile()) {
-        if (tile == requestorTile) {
-            for (const MoleculeId m : mols)
-                if (eligible(m))
-                    plan.home.molecules.push_back(m);
-            continue;
-        }
-        TileProbes probes;
-        probes.tile = tile;
-        for (const MoleculeId m : mols)
-            if (eligible(m))
-                probes.molecules.push_back(m);
-        if (!probes.molecules.empty())
-            plan.remote.push_back(std::move(probes));
+        if (tile == requestorTile)
+            plan.home.molecules = mols;
+        else
+            plan.remote.push_back(TileProbes{tile, mols});
     }
     return plan;
 }

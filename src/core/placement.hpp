@@ -44,16 +44,14 @@ struct LookupPlan
 };
 
 /**
- * Build the probe schedule for @p addr issued from @p requestorTile.
+ * Build the probe schedule for a request entering @p requestorTile.
+ * Every molecule of the region is probed — a line may live in any of
+ * them — so the plan does not depend on the address.
  *
  * @param region         the requestor's cache region
  * @param requestorTile  tile the request enters through
- * @param addr           the referenced address
- * @param rowRestricted  Randy-only ablation: probe only the molecules of
- *                       the address's replacement row
  */
-LookupPlan planLookup(const Region &region, TileId requestorTile,
-                      Addr addr, bool rowRestricted);
+LookupPlan planLookup(const Region &region, TileId requestorTile);
 
 } // namespace molcache
 

@@ -262,18 +262,6 @@ Region::noteReplacement(MoleculeId mol, Addr addr)
     (void)addr;
 }
 
-void
-Region::noteAccess(bool hit)
-{
-    ++accesses_;
-    ++intervalAccesses_;
-    if (hit) {
-        ++hits_;
-    } else {
-        ++intervalMisses_;
-    }
-}
-
 double
 Region::intervalMissRate() const
 {
@@ -298,69 +286,26 @@ Region::closeInterval()
         e.miss = 0;
 }
 
-const ProbeSchedule &
-Region::probeSchedule(Addr addr, bool rowRestricted, u64 sharedGen,
-                      const std::vector<MoleculeId> *sharedHome)
-{
-    const bool restrict_row =
-        rowRestricted && policy_ == PlacementPolicy::Randy && !rows_.empty();
-    if (scheduleGen_ != generation_ || scheduleSharedGen_ != sharedGen ||
-        scheduleRowRestricted_ != restrict_row ||
-        schedules_.size() != (restrict_row ? rows_.size() : 1)) {
-        // Membership, shared-bit state or lookup mode moved: drop every
-        // memo.  Slots are rebuilt on demand so a churning region only
-        // pays for the rows it actually touches.
-        schedules_.resize(restrict_row ? rows_.size() : 1);
-        scheduleValid_.assign(schedules_.size(), 0);
-        scheduleGen_ = generation_;
-        scheduleSharedGen_ = sharedGen;
-        scheduleRowRestricted_ = restrict_row;
-    }
-    const size_t slot = restrict_row ? rowOf(addr).value() : 0;
-    if (!scheduleValid_[slot]) {
-        rebuildSchedule(slot, restrict_row, sharedHome);
-        scheduleValid_[slot] = 1;
-    }
-    return schedules_[slot];
-}
-
 void
-Region::rebuildSchedule(size_t slot, bool restrictRow,
+Region::rebuildSchedule(u64 sharedGen,
                         const std::vector<MoleculeId> *sharedHome)
 {
-    ProbeSchedule &s = schedules_[slot];
+    ProbeSchedule &s = schedule_;
     s.home.clear();
     s.remote.clear();
-
-    const std::vector<MoleculeId> *row =
-        restrictRow ? &rows_[slot] : nullptr;
-    const auto eligible = [&](MoleculeId mol) {
-        return row == nullptr ||
-               std::find(row->begin(), row->end(), mol) != row->end();
-    };
-
     for (const auto &[tile, mols] : byTile_) {
-        if (tile == homeTile_) {
-            for (const MoleculeId m : mols)
-                if (eligible(m))
-                    s.home.push_back(m);
-            continue;
-        }
-        TileProbes probes;
-        probes.tile = tile;
-        for (const MoleculeId m : mols)
-            if (eligible(m))
-                probes.molecules.push_back(m);
-        if (!probes.molecules.empty())
-            s.remote.push_back(std::move(probes));
+        if (tile == homeTile_)
+            s.home.insert(s.home.end(), mols.begin(), mols.end());
+        else
+            s.remote.push_back(TileProbes{tile, mols});
     }
-
-    // Shared-bit molecules of the entry tile answer every request; they
-    // are exempt from row restriction (the row hash is region-local).
+    // Shared-bit molecules of the entry tile answer every request.
     if (sharedHome != nullptr)
         for (const MoleculeId m : *sharedHome)
             if (!contains(m))
                 s.home.push_back(m);
+    scheduleGen_ = generation_;
+    scheduleSharedGen_ = sharedGen;
 }
 
 } // namespace molcache

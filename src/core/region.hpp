@@ -19,7 +19,7 @@
  * between them — so all per-molecule bookkeeping lives in flat sorted
  * vectors (no node-based maps) and the per-access probe schedule is
  * memoized.  A generation counter bumped by every mutation invalidates
- * the cached schedules lazily.
+ * the cached schedule lazily.
  */
 
 #ifndef MOLCACHE_CORE_REGION_HPP
@@ -141,22 +141,28 @@ class Region
     u64 generation() const { return generation_; }
 
     /**
-     * The memoized probe schedule for @p addr (docs/perf.md).  Rebuilt
-     * lazily when the region generation or @p sharedGen moved since the
-     * cached copy was computed; steady-state calls are allocation-free.
+     * The memoized probe schedule (docs/perf.md).  Rebuilt lazily when
+     * the region generation or @p sharedGen moved since the cached copy
+     * was computed; steady-state calls are two stamp compares and
+     * allocation-free.
      *
-     * Matches planLookup(*this, homeTile(), addr, rowRestricted) with
-     * the foreign molecules of @p sharedHome (the home tile's
-     * shared-bit list, may be null) appended to the home probes —
-     * pinned by tests/core/probe_schedule_test.cpp.
+     * Matches planLookup(*this, homeTile()) with the foreign molecules
+     * of @p sharedHome (the home tile's shared-bit list, may be null)
+     * appended to the home probes — pinned by
+     * tests/core/probe_schedule_test.cpp.
      *
-     * @param rowRestricted Randy-only row-restricted-lookup ablation
-     * @param sharedGen     generation of the caller's shared-bit state
-     * @param sharedHome    shared-bit molecules hosted on homeTile()
+     * @param sharedGen  generation of the caller's shared-bit state
+     * @param sharedHome shared-bit molecules hosted on homeTile()
      */
     const ProbeSchedule &
-    probeSchedule(Addr addr, bool rowRestricted, u64 sharedGen,
-                  const std::vector<MoleculeId> *sharedHome);
+    probeSchedule(u64 sharedGen, const std::vector<MoleculeId> *sharedHome)
+    {
+        const bool stale =
+            scheduleGen_ != generation_ || scheduleSharedGen_ != sharedGen;
+        if (stale) [[unlikely]]
+            rebuildSchedule(sharedGen, sharedHome);
+        return schedule_;
+    }
 
     /**
      * Add @p mol (hosted on @p tile) to the region.
@@ -192,17 +198,15 @@ class Region
     void noteReplacement(MoleculeId mol, Addr addr);
 
     /** Per-access accounting (drives the resizer and HPM). */
-    void noteAccess(bool hit);
-
-    /** Batched equivalent of @p n noteAccess(true) calls (the batch
-     * access plane flushes its per-lane hit accumulator through here;
-     * all counters are sums, so the result is identical). */
     void
-    noteAccessHits(u64 n)
+    noteAccess(bool hit)
     {
-        accesses_ += n;
-        intervalAccesses_ += n;
-        hits_ += n;
+        ++accesses_;
+        ++intervalAccesses_;
+        if (hit)
+            ++hits_;
+        else
+            ++intervalMisses_;
     }
 
     /** @{ Interval statistics consumed by the resizer. */
@@ -279,9 +283,9 @@ class Region
     MolEntry *findMol(MoleculeId mol);
     const MolEntry *findMol(MoleculeId mol) const;
 
-    /** Rebuild the cached schedule slot for @p row (kNoRow = whole
-     * region) against the current membership + shared list. */
-    void rebuildSchedule(size_t slot, bool restrictRow,
+    /** Rebuild the cached schedule against the current membership +
+     * shared list and stamp it with the current generations. */
+    void rebuildSchedule(u64 sharedGen,
                          const std::vector<MoleculeId> *sharedHome);
 
     Asid asid_;
@@ -299,14 +303,11 @@ class Region
     u32 size_ = 0;
     u64 generation_ = 0;
 
-    // Probe-schedule memo: one slot per replacement row under
-    // row-restricted Randy lookup, a single slot otherwise.  Slots are
-    // rebuilt lazily on (generation, sharedGen, mode) mismatch.
-    std::vector<ProbeSchedule> schedules_;
-    std::vector<u8> scheduleValid_;
+    // Probe-schedule memo, rebuilt lazily on (generation, sharedGen)
+    // mismatch.
+    ProbeSchedule schedule_;
     u64 scheduleGen_ = ~0ull;
     u64 scheduleSharedGen_ = ~0ull;
-    bool scheduleRowRestricted_ = false;
 
     u64 intervalAccesses_ = 0;
     u64 intervalMisses_ = 0;

@@ -8,11 +8,10 @@ namespace molcache {
 Tile::Tile(TileId id, ClusterId cluster, MoleculeId firstMolecule,
            u32 numMolecules, u32 linesPerMol, u32 lineSize)
     : id_(id), cluster_(cluster), first_(firstMolecule),
-      linesPerMol_(linesPerMol),
       soaTags_(static_cast<size_t>(numMolecules) * linesPerMol, 0),
       soaTouched_(static_cast<size_t>(numMolecules) * linesPerMol, 0),
       soaFlags_(static_cast<size_t>(numMolecules) * linesPerMol, 0),
-      soaAsid_(numMolecules, kInvalidAsid), free_(numMolecules)
+      free_(numMolecules)
 {
     MOLCACHE_EXPECT(numMolecules > 0, "tile with no molecules");
     molecules_.reserve(numMolecules);
@@ -35,7 +34,6 @@ Tile::allocate(Asid asid)
         // out of the pool forever.
         if (m.isFree() && !m.decommissioned()) {
             m.assignTo(asid);
-            soaAsid_[m.id() - first_] = asid;
             --free_;
             return m.id();
         }
@@ -51,7 +49,6 @@ Tile::release(MoleculeId mol)
     MOLCACHE_EXPECT(!m.decommissioned(),
                     "releasing a decommissioned molecule");
     const u32 dirty = m.release();
-    soaAsid_[mol - first_] = kInvalidAsid;
     ++free_;
     return dirty;
 }
@@ -69,7 +66,6 @@ Tile::decommission(MoleculeId mol)
         dirty = m.release();
     }
     m.markDecommissioned();
-    soaAsid_[mol - first_] = kInvalidAsid;
     ++decommissioned_;
     return dirty;
 }

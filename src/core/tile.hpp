@@ -94,39 +94,30 @@ class Tile
 
     /** Port-pressure accounting: one request entered this tile. */
     void notePortAccess() { ++portAccesses_; }
-    /** Batched flush of @p n deferred port accesses (batch lanes). */
-    void notePortAccesses(u64 n) { portAccesses_ += n; }
     u64 portAccesses() const { return portAccesses_; }
 
-    /** @{ Struct-of-arrays tag view for the batched access path
-     * (docs/perf.md).  All line state of the tile's molecules lives in
-     * these contiguous per-tile arrays; each molecule holds pointer
-     * views into its `linesPerMolecule()`-sized span.  The slot of
-     * address line index @p li in molecule @p mol is
-     * `(mol - firstMolecule()) * linesPerMolecule() + li` — a pure
-     * offset computation, no per-molecule pointer chase, so the batch
-     * kernel can prefetch the next probe target.  Coherent by
+    /** @{ Struct-of-arrays tag view scanned by the access path's tile
+     * probe (docs/perf.md).  All line state of the tile's molecules
+     * lives in these contiguous per-tile arrays; each molecule holds
+     * pointer views into its lines-per-molecule-sized span.  The slot
+     * of address line index @p li in molecule @p mol is
+     * `(mol - firstMolecule()) * linesPerMolecule + li` — a pure
+     * offset computation, no per-molecule pointer chase.  Coherent by
      * construction: molecules mutate line state through the same
      * storage. */
     const Addr *lineTags() const { return soaTags_.data(); }
     const u8 *lineFlags() const { return soaFlags_.data(); }
-    /** Configured ASID per molecule (figure 3's comparator column),
-     * mirrored on allocate/release/decommission. */
-    const Asid *moleculeAsids() const { return soaAsid_.data(); }
-    u32 linesPerMolecule() const { return linesPerMol_; }
     /** @} */
 
   private:
     TileId id_;
     ClusterId cluster_;
     MoleculeId first_;
-    u32 linesPerMol_;
     /* SoA line state; declared before molecules_ so the arrays exist
      * when the molecule views are constructed. */
     std::vector<Addr> soaTags_;
     std::vector<Tick> soaTouched_;
     std::vector<u8> soaFlags_;
-    std::vector<Asid> soaAsid_;
     std::vector<Molecule> molecules_;
     u32 free_;
     u32 decommissioned_ = 0;

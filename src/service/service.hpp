@@ -330,8 +330,8 @@ class Service
      * Batched hot path: semantically identical to calling access() once
      * per entry (same results in @p out, same cache state after), but
      * the shard lock is taken once per fixed-size chunk instead of once
-     * per reference, and the chunk runs through the simulator core's
-     * batched data plane (MolecularCache::accessBatch, docs/perf.md).
+     * per reference; under it the chunk runs through
+     * MolecularCache::accessBatch, the plain per-reference loop.
      * Allocation-free: references are staged through a stack buffer.
      * Remap-safe per chunk (routing is re-checked under each chunk's
      * lock hold).  @p in and @p out must have equal lengths.

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "util/units.hpp"
 
 namespace molcache {
@@ -312,6 +314,60 @@ TEST(MolecularCache, NameMentionsGeometry)
     EXPECT_NE(n.find("molecular"), std::string::npos);
     EXPECT_NE(n.find("256KiB"), std::string::npos);
     EXPECT_NE(n.find("randy"), std::string::npos);
+}
+
+/**
+ * ASID recycling must not replay the predecessor's way-memo table: the
+ * successor region restarts its generation counter and is handed the
+ * same molecule ids, so a stale table could pass the generation check
+ * and predict lines the successor never filled.  Re-registering drops
+ * the table (an invalidation) and the successor then runs exactly like
+ * the same tenant in a fresh cache — results and memo counters alike.
+ */
+TEST(MolecularCache, RecycledAsidStartsWithAFreshWayMemo)
+{
+    MolecularCacheParams p = smallParams();
+    p.placement = PlacementPolicy::LruDirect; // no RNG: replayable fills
+    p.resizePeriod = 1u << 30;                // no resize in the run
+    p.maxResizePeriod = 1u << 30;
+    std::vector<MemAccess> trace;
+    u64 x = 88172645463325252ull;
+    for (u32 i = 0; i < 6000; ++i) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        trace.push_back(read((x % 512) * 64, 1));
+    }
+
+    MolecularCache recycled(p);
+    recycled.registerApplication(Asid{1}, 0.1);
+    for (const MemAccess &a : trace)
+        recycled.access(a);
+    recycled.unregisterApplication(Asid{1});
+    recycled.retireApplicationStats(Asid{1});
+    recycled.registerApplication(Asid{1}, 0.1);
+    const u64 invalidations = recycled.wayMemoInvalidations();
+    const u64 memoHits = recycled.wayMemoHits();
+    const u64 mispredicts = recycled.wayMemoMispredicts();
+
+    MolecularCache fresh(p);
+    fresh.registerApplication(Asid{1}, 0.1);
+    for (const MemAccess &a : trace) {
+        const AccessResult want = fresh.access(a);
+        const AccessResult got = recycled.access(a);
+        ASSERT_EQ(got.hit, want.hit);
+        ASSERT_EQ(got.level, want.level);
+        ASSERT_EQ(got.latencyCycles, want.latencyCycles);
+    }
+    EXPECT_GT(recycled.wayMemoInvalidations(), invalidations);
+    EXPECT_EQ(recycled.wayMemoInvalidations() - invalidations,
+              fresh.wayMemoInvalidations());
+    EXPECT_GT(fresh.wayMemoHits(), 0u);
+    EXPECT_EQ(recycled.wayMemoHits() - memoHits, fresh.wayMemoHits());
+    EXPECT_EQ(recycled.wayMemoMispredicts() - mispredicts,
+              fresh.wayMemoMispredicts());
+    EXPECT_EQ(recycled.stats().forAsid(Asid{1}).hits,
+              fresh.stats().forAsid(Asid{1}).hits);
 }
 
 TEST(MolecularCacheDeath, DoubleRegistration)

@@ -21,7 +21,7 @@ makeRegion(PlacementPolicy policy)
 TEST(Placement, HomeTileFirst)
 {
     const Region r = makeRegion(PlacementPolicy::Random);
-    const LookupPlan plan = planLookup(r, TileId{0}, 0x1000, false);
+    const LookupPlan plan = planLookup(r, TileId{0});
     EXPECT_EQ(plan.home.tile, TileId{0});
     EXPECT_EQ(plan.home.molecules.size(), 2u);
     ASSERT_EQ(plan.remote.size(), 2u);
@@ -33,7 +33,7 @@ TEST(Placement, HomeTileFirst)
 TEST(Placement, RequestFromRemoteTileSwapsRoles)
 {
     const Region r = makeRegion(PlacementPolicy::Random);
-    const LookupPlan plan = planLookup(r, TileId{1}, 0x1000, false);
+    const LookupPlan plan = planLookup(r, TileId{1});
     EXPECT_EQ(plan.home.tile, TileId{1});
     EXPECT_EQ(plan.home.molecules.size(), 1u);
     EXPECT_EQ(plan.remote.size(), 2u); // tiles 0 and 2
@@ -43,7 +43,7 @@ TEST(Placement, EmptyRegionYieldsEmptyPlan)
 {
     const Region r(Asid{1}, PlacementPolicy::Random, 1, TileId{0},
                    ClusterId{0}, 8_KiB);
-    const LookupPlan plan = planLookup(r, TileId{0}, 0x1000, false);
+    const LookupPlan plan = planLookup(r, TileId{0});
     EXPECT_EQ(plan.totalProbes(), 0u);
     EXPECT_TRUE(plan.remote.empty());
 }
@@ -51,33 +51,10 @@ TEST(Placement, EmptyRegionYieldsEmptyPlan)
 TEST(Placement, TileWithoutRegionMoleculesYieldsEmptyHome)
 {
     const Region r = makeRegion(PlacementPolicy::Random);
-    const LookupPlan plan = planLookup(r, TileId{7}, 0x1000, false);
+    const LookupPlan plan = planLookup(r, TileId{7});
     EXPECT_TRUE(plan.home.molecules.empty());
     EXPECT_EQ(plan.remote.size(), 3u);
     EXPECT_EQ(plan.totalProbes(), 4u);
-}
-
-TEST(Placement, RowRestrictedProbesSubset)
-{
-    // Layout: molecules 0 and 1 open rows 0 and 1; the non-initial 2 and
-    // 3 widen the (tied-hottest) row 0 => row0 = {0,2,3}, row1 = {1}.
-    const Region r = makeRegion(PlacementPolicy::Randy);
-    ASSERT_EQ(r.rowMax(), 2u);
-    // Unrestricted: all 4 molecules.
-    const LookupPlan full = planLookup(r, TileId{0}, 0, false);
-    EXPECT_EQ(full.totalProbes(), 4u);
-    // Restricted to the address's row: addr 0 -> row 0 (3 molecules),
-    // addr 8KiB -> row 1 (1 molecule).
-    EXPECT_EQ(planLookup(r, TileId{0}, 0, true).totalProbes(), 3u);
-    EXPECT_EQ(planLookup(r, TileId{0}, (8_KiB).value(), true).totalProbes(),
-              1u);
-}
-
-TEST(Placement, RowRestrictionIgnoredForRandomPolicy)
-{
-    const Region r = makeRegion(PlacementPolicy::Random);
-    const LookupPlan plan = planLookup(r, TileId{0}, 0, true);
-    EXPECT_EQ(plan.totalProbes(), 4u); // Random has no rows to restrict to
 }
 
 } // namespace

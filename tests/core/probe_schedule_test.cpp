@@ -4,8 +4,8 @@
  * hot path) against the reference lookup planner (planLookup) across
  * randomized membership churn — grants, withdrawals/decommissions
  * (both reach the region as removeMolecule), rehomes, shared-bit
- * toggles and row collapse — for every placement policy with and
- * without the row-restricted-lookup ablation.  See docs/perf.md.
+ * toggles and row collapse — for every placement policy.  See
+ * docs/perf.md.
  */
 
 #include <gtest/gtest.h>
@@ -32,15 +32,12 @@ tileOf(MoleculeId mol)
 }
 
 /** The schedule probeSchedule() promises: the reference plan with the
- * home tile's foreign shared-bit molecules appended to the home probes
- * (shared molecules are exempt from the row restriction — their owner's
- * rows are not ours). */
+ * home tile's foreign shared-bit molecules appended to the home probes. */
 ProbeSchedule
-referenceSchedule(const Region &region, Addr addr, bool rowRestricted,
+referenceSchedule(const Region &region,
                   const std::vector<MoleculeId> &sharedHome)
 {
-    const LookupPlan plan =
-        planLookup(region, region.homeTile(), addr, rowRestricted);
+    const LookupPlan plan = planLookup(region, region.homeTile());
     ProbeSchedule ref;
     ref.home = plan.home.molecules;
     for (const MoleculeId m : sharedHome)
@@ -52,21 +49,21 @@ referenceSchedule(const Region &region, Addr addr, bool rowRestricted,
 
 void
 expectSameSchedule(const ProbeSchedule &got, const ProbeSchedule &want,
-                   Addr addr)
+                   u32 step)
 {
-    ASSERT_EQ(got.home, want.home) << "home probes diverge at addr "
-                                   << addr;
+    ASSERT_EQ(got.home, want.home) << "home probes diverge at step "
+                                   << step;
     ASSERT_EQ(got.remote.size(), want.remote.size())
-        << "remote tile count diverges at addr " << addr;
+        << "remote tile count diverges at step " << step;
     for (size_t t = 0; t < got.remote.size(); ++t) {
         ASSERT_EQ(got.remote[t].tile, want.remote[t].tile);
         ASSERT_EQ(got.remote[t].molecules, want.remote[t].molecules);
     }
 }
 
-/** Randomized churn against one (policy, rowRestricted) configuration. */
+/** Randomized churn against one placement policy. */
 void
-runChurn(PlacementPolicy policy, bool rowRestricted, u64 seed)
+runChurn(PlacementPolicy policy, u64 seed)
 {
     Region region(Asid{1}, policy, /*lineMultiple=*/1, TileId{0},
                   ClusterId{0}, 8_KiB, /*initialRowMax=*/4);
@@ -124,74 +121,30 @@ runChurn(PlacementPolicy policy, bool rowRestricted, u64 seed)
 
         const auto &sharedHome =
             sharedByTile[region.homeTile().value()];
-        for (u32 probe = 0; probe < 8; ++probe) {
-            const Addr addr =
-                static_cast<Addr>(rng.next32()) * 64; // line aligned
-            const ProbeSchedule want =
-                referenceSchedule(region, addr, rowRestricted, sharedHome);
-            const ProbeSchedule &got = region.probeSchedule(
-                addr, rowRestricted, sharedGen,
-                sharedHome.empty() ? nullptr : &sharedHome);
-            expectSameSchedule(got, want, addr);
-            // Memoized: asking again without churn must reproduce it.
-            const ProbeSchedule &again = region.probeSchedule(
-                addr, rowRestricted, sharedGen,
-                sharedHome.empty() ? nullptr : &sharedHome);
-            expectSameSchedule(again, want, addr);
-        }
+        const ProbeSchedule want = referenceSchedule(region, sharedHome);
+        const ProbeSchedule &got = region.probeSchedule(
+            sharedGen, sharedHome.empty() ? nullptr : &sharedHome);
+        expectSameSchedule(got, want, step);
+        // Memoized: asking again without churn must reproduce it.
+        const ProbeSchedule &again = region.probeSchedule(
+            sharedGen, sharedHome.empty() ? nullptr : &sharedHome);
+        expectSameSchedule(again, want, step);
     }
 }
 
 TEST(ProbeSchedule, MatchesPlanLookupRandom)
 {
-    runChurn(PlacementPolicy::Random, false, 11);
-}
-
-TEST(ProbeSchedule, MatchesPlanLookupRandomRowRestrictedFlag)
-{
-    // rowRestrictedLookup is a Randy-only ablation: with Random it must
-    // be a no-op and the schedules must still match the reference.
-    runChurn(PlacementPolicy::Random, true, 12);
+    runChurn(PlacementPolicy::Random, 11);
 }
 
 TEST(ProbeSchedule, MatchesPlanLookupRandy)
 {
-    runChurn(PlacementPolicy::Randy, false, 13);
-}
-
-TEST(ProbeSchedule, MatchesPlanLookupRandyRowRestricted)
-{
-    runChurn(PlacementPolicy::Randy, true, 14);
+    runChurn(PlacementPolicy::Randy, 13);
 }
 
 TEST(ProbeSchedule, MatchesPlanLookupLruDirect)
 {
-    runChurn(PlacementPolicy::LruDirect, false, 15);
-}
-
-TEST(ProbeSchedule, MatchesPlanLookupLruDirectRowRestrictedFlag)
-{
-    runChurn(PlacementPolicy::LruDirect, true, 16);
-}
-
-TEST(ProbeSchedule, SwitchingRestrictionModeInvalidatesMemo)
-{
-    // The same region queried alternately with and without the
-    // restriction must rebuild (not reuse) the cached schedules.
-    Region region(Asid{1}, PlacementPolicy::Randy, 1, TileId{0},
-                  ClusterId{0}, 8_KiB, 4);
-    for (u32 m = 0; m < 8; ++m)
-        region.addMolecule(MoleculeId{m}, tileOf(MoleculeId{m}), true);
-    const std::vector<MoleculeId> none;
-    for (const Addr addr : {0ull, 8192ull, 16384ull, 123456ull}) {
-        for (const bool restricted : {true, false, true}) {
-            const ProbeSchedule want =
-                referenceSchedule(region, addr, restricted, none);
-            const ProbeSchedule &got =
-                region.probeSchedule(addr, restricted, 0, nullptr);
-            expectSameSchedule(got, want, addr);
-        }
-    }
+    runChurn(PlacementPolicy::LruDirect, 15);
 }
 
 } // namespace

@@ -25,7 +25,27 @@ namespace {
 
 constexpr u64 kRefs = 30000;
 
-/** All placement policies, every model kind, plus a faulted config. */
+/**
+ * FNV-1a (64-bit) of runToJson(1).  Refreshing this constant is an
+ * explicit, reviewed act, like recapturing BENCH_hotpath.json: a change
+ * here means the simulator now computes different results for the
+ * coverage spec, and the commit must say why.
+ */
+constexpr u64 kSerialJsonDigest = 0x69050fd63d8de127ull;
+
+u64
+fnv1a64(const std::string &bytes)
+{
+    u64 h = 0xcbf29ce484222325ull;
+    for (const char c : bytes) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+/** All placement policies, every model kind, a faulted config and a
+ * multi-cluster molecular config. */
 SweepSpec
 coverageSpec()
 {
@@ -49,6 +69,10 @@ coverageSpec()
         .molecular("randy-faulted",
                    fig5MolecularParams(1_MiB, PlacementPolicy::Randy),
                    faults)
+        // Three clusters: the only entry whose coherence directory can
+        // invalidate across clusters.
+        .molecular("table2-randy",
+                   table2MolecularParams(PlacementPolicy::Randy))
         .workload("spec4", spec4Names())
         .workload("pair", {"ammp", "mcf"})
         .goals(GoalSet::uniform(0.1, 4))
@@ -82,6 +106,13 @@ TEST(SweepDeterminism, ParallelJsonIsByteIdenticalToSerial)
     const std::string parallel = runToJson(8);
     EXPECT_EQ(serial, parallel)
         << "sweep JSON must not depend on thread count";
+}
+
+TEST(SweepDeterminism, SerialJsonMatchesCommittedDigest)
+{
+    const u64 digest = fnv1a64(runToJson(1));
+    EXPECT_EQ(digest, kSerialJsonDigest)
+        << "sweep results changed: digest is 0x" << std::hex << digest;
 }
 
 TEST(SweepDeterminism, RepeatedParallelRunsAgree)

@@ -167,6 +167,47 @@ TEST(TransientFlip, DetectedOnNextProbeAndReadAsMiss)
     expectClean(cache);
 }
 
+/**
+ * A flip on the very line the way-memo predicts for a home-tile hit:
+ * the prediction must not read the corrupt slot as a hit, the parity
+ * check must catch and scrub it exactly as the full walk does, and the
+ * first flip fuses memoization off for the rest of the run — a poisoned
+ * slot earlier in the schedule must always be met by the in-order walk.
+ */
+TEST(TransientFlip, MemoPredictedLineIsScrubbedAndFusesMemoOff)
+{
+    MolecularCache cache(smallParams());
+    cache.registerApplication(Asid{0}, 0.1);
+    const Addr addr = addrFor(Asid{0}, 7);
+    cache.access({addr, Asid{0}, AccessType::Write}); // fill, dirty
+    ASSERT_TRUE(cache.access({addr, Asid{0}, AccessType::Read}).hit);
+    ASSERT_TRUE(cache.access({addr, Asid{0}, AccessType::Read}).hit);
+    ASSERT_EQ(cache.wayMemoHits(), 1u) << "the memo predicts the line";
+
+    MoleculeId holder = kInvalidMolecule;
+    for (const auto &[tile, mols] : cache.region(Asid{0}).byTile())
+        for (const MoleculeId id : mols)
+            if (cache.molecule(id).lookup(addr))
+                holder = id;
+    ASSERT_NE(holder, kInvalidMolecule);
+    const u32 index = static_cast<u32>(addr / cache.params().lineSize) %
+                      cache.params().linesPerMolecule();
+    SimAccess{cache}.injectTransientFlip(holder, index);
+
+    const AccessResult r = cache.access({addr, Asid{0}, AccessType::Read});
+    EXPECT_FALSE(r.hit); // parity caught the corruption: treated as a miss
+    EXPECT_EQ(r.level, 2u);
+    EXPECT_EQ(cache.faultStats().transientFlipsDetected, 1u);
+    EXPECT_EQ(cache.faultStats().dirtyLinesLost, 1u);
+
+    // The refill hits again, but never through the memo any more.
+    for (int i = 0; i < 8; ++i)
+        EXPECT_TRUE(cache.access({addr, Asid{0}, AccessType::Read}).hit);
+    EXPECT_EQ(cache.wayMemoHits(), 1u);
+    EXPECT_EQ(cache.wayMemoMispredicts(), 0u);
+    expectClean(cache);
+}
+
 TEST(TileOutage, FencesWholeTileAndRegionMigratesCapacity)
 {
     MolecularCache cache(smallParams());

@@ -105,7 +105,7 @@ namespace molcache {
 namespace {
 
 MolecularCacheParams
-steadyParams(PlacementPolicy policy, bool rowRestricted)
+steadyParams(PlacementPolicy policy)
 {
     MolecularCacheParams p;
     p.moleculeSize = 8_KiB;
@@ -113,7 +113,6 @@ steadyParams(PlacementPolicy policy, bool rowRestricted)
     p.tilesPerCluster = 2;
     p.clusters = 1;
     p.placement = policy;
-    p.rowRestrictedLookup = rowRestricted;
     p.initialAllocation = InitialAllocation::Small;
     p.initialMolecules = 2;
     p.resizePeriod = 1u << 30; // no resize inside the measured window
@@ -122,9 +121,9 @@ steadyParams(PlacementPolicy policy, bool rowRestricted)
 }
 
 void
-expectZeroAllocSteadyState(PlacementPolicy policy, bool rowRestricted)
+expectZeroAllocSteadyState(PlacementPolicy policy)
 {
-    MolecularCache cache(steadyParams(policy, rowRestricted));
+    MolecularCache cache(steadyParams(policy));
     for (u16 a = 0; a < 2; ++a)
         cache.registerApplication(Asid{a}, 0.1);
 
@@ -158,89 +157,17 @@ expectZeroAllocSteadyState(PlacementPolicy policy, bool rowRestricted)
 
 TEST(HotpathAllocations, ZeroPerAccessRandom)
 {
-    expectZeroAllocSteadyState(PlacementPolicy::Random, false);
+    expectZeroAllocSteadyState(PlacementPolicy::Random);
 }
 
 TEST(HotpathAllocations, ZeroPerAccessRandy)
 {
-    expectZeroAllocSteadyState(PlacementPolicy::Randy, false);
-}
-
-TEST(HotpathAllocations, ZeroPerAccessRandyRowRestricted)
-{
-    expectZeroAllocSteadyState(PlacementPolicy::Randy, true);
+    expectZeroAllocSteadyState(PlacementPolicy::Randy);
 }
 
 TEST(HotpathAllocations, ZeroPerAccessLruDirect)
 {
-    expectZeroAllocSteadyState(PlacementPolicy::LruDirect, false);
-}
-
-/**
- * Same gate for the batched plane: once the per-ASID lanes and the
- * way-memo tables exist (built by the first block after warmup),
- * steady-state accessBatch() must not allocate either — lane rebuilds
- * happen only on generation changes, and none occur in the window.
- */
-void
-expectZeroAllocBatchSteadyState(PlacementPolicy policy, bool rowRestricted)
-{
-    MolecularCache cache(steadyParams(policy, rowRestricted));
-    for (u16 a = 0; a < 2; ++a)
-        cache.registerApplication(Asid{a}, 0.1);
-
-    std::vector<MemAccess> trace;
-    for (u32 i = 0; i < 128; ++i) {
-        for (u16 a = 0; a < 2; ++a) {
-            trace.push_back({static_cast<Addr>(i) * 64, Asid{a},
-                             i % 7 == 0 ? AccessType::Write
-                                        : AccessType::Read});
-        }
-    }
-    std::vector<AccessResult> results(trace.size());
-    for (int pass = 0; pass < 3; ++pass)
-        for (const MemAccess &m : trace)
-            cache.access(m);
-    // One warm batch pass builds the lanes + memo tables.
-    cache.accessBatch({trace.data(), trace.size()},
-                      {results.data(), results.size()});
-
-    u64 hits = 0;
-    const unsigned long long before = g_heapAllocs.load();
-    for (int pass = 0; pass < 10; ++pass) {
-        cache.accessBatch({trace.data(), trace.size()},
-                          {results.data(), results.size()});
-        for (const AccessResult &r : results)
-            hits += r.hit ? 1 : 0;
-    }
-    const unsigned long long after = g_heapAllocs.load();
-
-    ASSERT_EQ(hits, 10u * trace.size())
-        << "measurement window must be all hits (steady state)";
-    EXPECT_EQ(after - before, 0u)
-        << "steady-state batched accesses must not allocate";
-}
-
-TEST(HotpathAllocations, ZeroPerBatchRandom)
-{
-    expectZeroAllocBatchSteadyState(PlacementPolicy::Random, false);
-}
-
-TEST(HotpathAllocations, ZeroPerBatchRandy)
-{
-    expectZeroAllocBatchSteadyState(PlacementPolicy::Randy, false);
-}
-
-TEST(HotpathAllocations, ZeroPerBatchLruDirect)
-{
-    expectZeroAllocBatchSteadyState(PlacementPolicy::LruDirect, false);
-}
-
-/** The scalar-fallback batch path (row-restricted is ineligible for
- * lane hoisting) must be allocation-free too. */
-TEST(HotpathAllocations, ZeroPerBatchRowRestrictedFallback)
-{
-    expectZeroAllocBatchSteadyState(PlacementPolicy::Randy, true);
+    expectZeroAllocSteadyState(PlacementPolicy::LruDirect);
 }
 
 /** The counter itself must observe allocations, or the zero above would

@@ -20,7 +20,7 @@ runners:
        norm(name) = items_per_second(name) / items_per_second(yardstick)
 
    and fails when norm_candidate < --min-ratio * norm_baseline for any
-   gated kernel (BM_HotpathMolecular/* and BM_HotpathBatch/*).
+   gated kernel (BM_HotpathMolecular/*).
 
 Usage:
     check_perf_baseline.py BASELINE.json CANDIDATE.json [--min-ratio R]
@@ -31,7 +31,7 @@ import json
 import sys
 
 YARDSTICK = "BM_HotpathTraditional/8"
-GATED_PREFIXES = ("BM_HotpathMolecular/", "BM_HotpathBatch/")
+GATED_PREFIXES = ("BM_HotpathMolecular/",)
 
 
 def load(path):

@@ -25,10 +25,10 @@ class BadCoreMap
     // Genuinely sparse, never walked per access.  molcache-lint: allow-map
     std::map<u64, u32> sparse_;
 
-    // Batch-plane lane structs use plain member names (no trailing
+    // Nested scratch structs use plain member names (no trailing
     // underscore); the rule must hold them to the same dense-layout
     // bar.
-    struct BadBatchLane
+    struct BadProbeScratch
     {
         std::list<u64> pendingRefs;   // hot-path-map
         std::set<u32> touchedTiles;   // hot-path-map

@@ -39,8 +39,8 @@
  *  - hot-path-map:      node-based container data members (std::map,
  *                       std::unordered_map, sets, std::list) in
  *                       src/core and src/service headers -- the access
- *                       hot path, including the batch plane's lane
- *                       structs and the service's shard/tenant tables,
+ *                       hot path, including nested per-region structs
+ *                       and the service's shard/tenant tables,
  *                       must use dense/flat structures (docs/perf.md);
  *                       genuinely sparse state opts out with a
  *                       `molcache-lint: allow-map` comment on or just
@@ -427,8 +427,8 @@ checkHotPathMap(const SourceFile &f, const Context &)
     // service's shard/tenant tables ride the same path as the core's
     // probe structures.  Covers maps,
     // sets and lists, and members without the trailing underscore too,
-    // so the batch data plane's plain-named lane/scratch structs
-    // (MolecularCache::BatchLane and friends) are held to the same
+    // so plain-named nested structs (MolecularCache::WayMemo,
+    // Region::MolEntry and friends) are held to the same
     // dense-layout bar as classic members.  Genuinely sparse state
     // (e.g. the per-line coherence directory) opts out with the allow
     // tag.

@@ -81,6 +81,34 @@ banner(const std::string &title)
     std::printf("== %s ==\n", title.c_str());
 }
 
+/**
+ * The exit gate of a self-checking drill: every failed check prints a
+ * `FAIL:` line, and verdict() turns the checks into the exit code.
+ */
+class Gate
+{
+  public:
+    void
+    operator()(bool pass, const std::string &what)
+    {
+        if (!pass) {
+            std::printf("FAIL: %s\n", what.c_str());
+            ok_ = false;
+        }
+    }
+
+    /** Print @p passLine, or FAIL; @return the process exit code. */
+    int
+    verdict(const char *passLine) const
+    {
+        std::printf("%s\n", ok_ ? passLine : "FAIL");
+        return ok_ ? 0 : 1;
+    }
+
+  private:
+    bool ok_ = true;
+};
+
 } // namespace molcache::bench
 
 #endif // MOLCACHE_BENCH_COMMON_HPP

@@ -388,13 +388,7 @@ main(int argc, char **argv)
         std::printf("wrote %s\n", json_out.c_str());
     }
 
-    bool ok = true;
-    const auto gate = [&ok](bool pass, const char *what) {
-        if (!pass) {
-            std::printf("FAIL: %s\n", what);
-            ok = false;
-        }
-    };
+    bench::Gate gate;
     gate(quiet, "resilience plane not quiet within the epoch bound");
     gate(summary.invariantViolations == 0, "invariant violations");
     gate(summary.contractViolations == 0, "contract violations");
@@ -418,6 +412,5 @@ main(int argc, char **argv)
          "epochs-to-drain SLO unbounded");
     gate(res.maxEpochsBackToGoal <= summary.epoch,
          "back-to-goal SLO unbounded");
-    std::printf("%s\n", ok ? "PASS: chaos drill clean" : "FAIL");
-    return ok ? 0 : 1;
+    return gate.verdict("PASS: chaos drill clean");
 }

@@ -18,7 +18,9 @@
  * so this binary drives Simulator::run directly rather than going
  * through the profile-keyed sweep engine; --json writes the canonical
  * schema-versioned SimResult document of the guardian-on run (the CI
- * telemetry artifact).
+ * telemetry artifact).  The drill gates itself: it prints a FAIL: line
+ * and exits non-zero unless the hog is flagged infeasible with a
+ * shortfall and no region is stuck.
  */
 
 #include <fstream>
@@ -189,5 +191,15 @@ main(int argc, char **argv)
         out << "\n";
         std::printf("wrote %s\n", json_out.c_str());
     }
-    return 0;
+
+    // Self-gating: the hog's goal must surface as infeasible with a
+    // shortfall, and the watchdog must leave no region stuck.
+    bench::Gate gate;
+    gate(on.guardian.infeasibleRegions >= 1,
+         "hog goal was not flagged infeasible");
+    gate(on.guardian.maxShortfall > 0.0,
+         "no shortfall reported for the degraded goal");
+    gate(on.guardian.stuckRegions == 0,
+         std::to_string(on.guardian.stuckRegions) + " region(s) stuck");
+    return gate.verdict("PASS: adversarial drill clean");
 }

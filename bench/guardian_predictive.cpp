@@ -22,7 +22,11 @@
  *  - the unhinted tenants are unaffected either way.
  *
  * --json writes a schema-versioned document bundling all three runs'
- * SimResults plus a precomputed comparison block (the CI gate's input).
+ * SimResults plus a precomputed comparison block.  The drill gates the
+ * same comparison itself: it prints a FAIL: line and exits non-zero
+ * when the liar escapes quarantine, a contract is violated, honest
+ * hints lose to reactive, or wrong hints exceed 1.1x reactive on time
+ * outside goal or churn.
  */
 
 #include <fstream>
@@ -247,6 +251,9 @@ main(int argc, char **argv)
     const u64 wrong_out = runs[2].sim.guardian.accessesOutsideGoal;
     const GuardianAppTelemetry *liar =
         telemetryOf(runs[2].sim, kPhaseFlipSlot);
+    const u64 violations = runs[0].sim.contractViolations +
+                           runs[1].sim.contractViolations +
+                           runs[2].sim.contractViolations;
     std::printf("time outside goal: reactive %llu | honest %llu | "
                 "wrong %llu refs\n",
                 static_cast<unsigned long long>(reactive_out),
@@ -303,13 +310,29 @@ main(int argc, char **argv)
         json.key("liar_trust");
         json.value(liar != nullptr ? liar->trust : 0.0);
         json.key("contract_violations");
-        json.value(runs[0].sim.contractViolations +
-                   runs[1].sim.contractViolations +
-                   runs[2].sim.contractViolations);
+        json.value(violations);
         json.endObject();
         json.endObject();
         out << "\n";
         std::printf("wrote %s\n", json_out.c_str());
     }
-    return 0;
+
+    // Self-gating: the liar ends quarantined, honest hints do not lose
+    // to reactive, and wrong hints degrade gracefully instead of
+    // amplifying time outside goal or capacity churn.
+    bench::Gate gate;
+    gate(liar != nullptr && liar->quarantined,
+         "the lying tenant was not quarantined (trust " +
+             formatDouble(liar != nullptr ? liar->trust : 0.0, 3) + ")");
+    gate(violations == 0, std::to_string(violations) +
+                              " contract violations");
+    gate(honest_out <= reactive_out,
+         "honest hints did not beat reactive on time outside goal");
+    gate(static_cast<double>(wrong_out) <=
+             1.1 * static_cast<double>(reactive_out),
+         "wrong hints amplified time outside goal past 1.1x reactive");
+    gate(static_cast<double>(runs[2].churn) <=
+             1.1 * static_cast<double>(runs[0].churn),
+         "wrong hints amplified capacity churn past 1.1x reactive");
+    return gate.verdict("PASS: predictive drill clean");
 }

@@ -12,13 +12,18 @@
  * shared-address-space workloads (e.g. threads of one application pinned
  * to different clusters) exercise the invalidate path — see
  * tests/core/coherence_test.cpp and examples.
+ *
+ * The directory is touched on every fill, every eviction and every write
+ * hit, so it is one flat open-addressed table (linear probing,
+ * backward-shift deletion, power-of-two capacity) sized once from the
+ * cache's line capacity: steady-state misses allocate nothing, and one
+ * directory update is one or two cache-line touches (docs/perf.md).
  */
 
 #ifndef MOLCACHE_CORE_COHERENCE_HPP
 #define MOLCACHE_CORE_COHERENCE_HPP
 
 #include <cstddef>
-#include <unordered_map>
 #include <vector>
 
 #include "util/types.hpp"
@@ -38,23 +43,29 @@ struct CoherenceStats
 class CoherenceDirectory
 {
   public:
-    /** @param numClusters at most 32 clusters (holder bitmask width). */
-    explicit CoherenceDirectory(u32 numClusters);
+    /**
+     * @param numClusters at most 32 clusters (holder bitmask width).
+     * @param maxLines the most lines the caller can hold at once (the
+     *        cache's line capacity); the table is sized so that many
+     *        entries keep its load at or under 3/4.  The default suits
+     *        small unit-test directories.
+     */
+    explicit CoherenceDirectory(u32 numClusters, u64 maxLines = 48);
 
     /**
      * A line was filled into @p cluster.
      * @param exclusive true when the fill is for a write (M state)
-     * @return clusters whose copies must be invalidated (empty for reads;
-     *         reads of a remotely-modified line downgrade instead)
+     * @return bitmask of clusters whose copies must be invalidated (bit c
+     *         = cluster c; 0 for reads — reads of a remotely-modified line
+     *         downgrade instead)
      */
-    std::vector<ClusterId> noteFill(LineAddr lineAddr, ClusterId cluster,
-                                    bool exclusive);
+    u32 noteFill(LineAddr lineAddr, ClusterId cluster, bool exclusive);
 
     /**
      * A write hit in @p cluster.
-     * @return clusters whose copies must be invalidated
+     * @return bitmask of clusters whose copies must be invalidated
      */
-    std::vector<ClusterId> noteWrite(LineAddr lineAddr, ClusterId cluster);
+    u32 noteWrite(LineAddr lineAddr, ClusterId cluster);
 
     /** @p cluster no longer holds the line. */
     void noteEviction(LineAddr lineAddr, ClusterId cluster);
@@ -71,23 +82,52 @@ class CoherenceDirectory
     const CoherenceStats &stats() const { return stats_; }
 
     /** Tracked line count (size of the directory). */
-    size_t entries() const { return map_.size(); }
+    size_t entries() const { return size_; }
 
   private:
-    struct Entry
+    /** One table slot; `holders == 0` marks it empty, since every live
+     * entry has at least one holder (the last eviction erases it). */
+    struct Slot
     {
+        u64 line = 0;
         u32 holders = 0; // bitmask over clusters
         bool modified = false;
-        ClusterId owner{}; // valid when modified
+        u8 owner = 0; // valid when modified
     };
+    static_assert(sizeof(Slot) == 16, "a directory slot is 16 bytes");
 
-    std::vector<ClusterId> othersOf(const Entry &e, ClusterId cluster) const;
+    /** Home slot of @p line: Fibonacci hash, top log2(capacity) bits. */
+    size_t
+    home(u64 line) const
+    {
+        return static_cast<size_t>((line * 0x9e3779b97f4a7c15ull) >>
+                                   hashShift_);
+    }
+
+    /** Index of @p line's slot, or ~0 when it is not tracked. */
+    size_t find(u64 line) const;
+
+    /** @p line's slot, claimed (zero holders) when it is not tracked. */
+    Slot &findOrInsert(u64 line);
+
+    /** Make @p cluster the sole, modified holder of @p e.
+     * @return the mask of the other clusters that held it */
+    u32 takeExclusive(Slot &e, ClusterId cluster);
+
+    /** Remove the entry at @p index, shifting its probe run back. */
+    void erase(size_t index);
+
+    /** Double the table; the only path past the constructor's sizing. */
+    void grow();
+
+    /** Allocate an empty table of @p capacity (a power of two) slots. */
+    void reset(size_t capacity);
 
     u32 numClusters_;
-    // Per-line directory state: genuinely sparse (keyed by every line
-    // address ever cached) and only touched on writes, fills and
-    // evictions — never on the hit path.  molcache-lint: allow-map
-    std::unordered_map<LineAddr, Entry> map_;
+    std::vector<Slot> slots_;
+    size_t mask_ = 0;
+    u32 hashShift_ = 0;
+    size_t size_ = 0;
     CoherenceStats stats_;
 };
 

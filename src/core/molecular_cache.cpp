@@ -14,7 +14,12 @@
 namespace molcache {
 
 MolecularCache::MolecularCache(const MolecularCacheParams &params)
-    : params_(params), directory_(params.clusters),
+    : params_(params),
+      // Sized for every line slot resident at once; the max() only
+      // keeps an invalid zero line size away from the divide so
+      // validate() below can report it.
+      directory_(params.clusters, params.totalSizeBytes().value() /
+                                      std::max(params.lineSize, 1u)),
       noc_(params.clusters, params.noc), resizer_(params)
 {
     params_.validate();
@@ -186,8 +191,9 @@ MolecularCache::unregisterApplication(Asid asid)
         mols.insert(mols.end(), ids.begin(), ids.end());
     for (const MoleculeId id : mols) {
         Molecule &m = molecule(id);
-        for (const Addr la : m.residentLines())
+        m.forEachResidentLine([&](Addr la) {
             directory_.noteEviction(LineAddr{la}, region.homeCluster());
+        });
         const u32 dirty = tiles_[m.tile().value()].release(id);
         for (u32 i = 0; i < dirty; ++i)
             stats_.recordWriteback(asid);
@@ -637,11 +643,11 @@ MolecularCache::chooseLruDirectMolecule(const Region &region, Addr addr)
 }
 
 void
-MolecularCache::applyInvalidations(const std::vector<ClusterId> &clusters,
-                                   LineAddr lineAddr, Asid except,
-                                   ClusterId origin)
+MolecularCache::applyInvalidations(u32 clusters, LineAddr lineAddr,
+                                   Asid except, ClusterId origin)
 {
-    for (const ClusterId c : clusters) {
+    for (; clusters != 0; clusters &= clusters - 1) {
+        const ClusterId c{static_cast<u32>(std::countr_zero(clusters))};
         // One invalidation message from the writing cluster to each
         // victim over the inter-cluster interconnect.
         noc_.sendMessage(origin.value(), c.value());
@@ -812,8 +818,9 @@ MolecularCache::withdraw(Region &region, u32 count)
         if (id == kInvalidMolecule)
             break;
         Molecule &m = molecule(id);
-        for (const Addr la : m.residentLines())
+        m.forEachResidentLine([&](Addr la) {
             directory_.noteEviction(LineAddr{la}, region.homeCluster());
+        });
         const u32 dirty = tiles_[m.tile().value()].release(id);
         for (u32 i = 0; i < dirty; ++i)
             stats_.recordWriteback(region.asid());
@@ -965,8 +972,9 @@ MolecularCache::decommissionMolecule(MoleculeId id)
             // Drain: the directory forgets the lines, the replacement
             // view forgets the molecule, and the region notes the
             // capacity hole so the resizer re-acquires around it.
-            for (const Addr la : m.residentLines())
+            m.forEachResidentLine([&](Addr la) {
                 directory_.noteEviction(LineAddr{la}, region.homeCluster());
+            });
             region.removeMolecule(id);
             region.noteMoleculeLost();
             break;

@@ -325,9 +325,9 @@ class MolecularCache final : public CacheModel, private MoleculeBroker
     MoleculeId chooseLruDirectMolecule(const Region &region, Addr addr);
 
     /** Apply directory-mandated invalidations for @p lineAddr, routing
-     * one message per victim cluster from @p origin over the NoC. */
-    void applyInvalidations(const std::vector<ClusterId> &clusters,
-                            LineAddr lineAddr, Asid except,
+     * one message per victim cluster (bit c of @p clusters = cluster c,
+     * lowest first) from @p origin over the NoC. */
+    void applyInvalidations(u32 clusters, LineAddr lineAddr, Asid except,
                             ClusterId origin);
 
     /** Run resize scheduling after an access by @p region. */

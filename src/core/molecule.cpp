@@ -137,18 +137,6 @@ Molecule::slotTouchTick(Addr addr) const
     return touched_[i];
 }
 
-std::vector<Addr>
-Molecule::residentLines() const
-{
-    std::vector<Addr> out;
-    out.reserve(valid_);
-    for (u32 i = 0; i < numLines_; ++i) {
-        if ((flags_[i] & kLineValid) != 0)
-            out.push_back((tags_[i] * numLines_ + i) * lineSize_);
-    }
-    return out;
-}
-
 bool
 Molecule::invalidate(Addr addr)
 {

@@ -193,9 +193,17 @@ class Molecule
     /** Valid lines currently held. */
     u32 validLines() const { return valid_; }
 
-    /** Addresses of all resident lines (coherence bookkeeping on
-     * withdrawal/reassignment). */
-    std::vector<Addr> residentLines() const;
+    /** Call @p visit with the address of each resident line, in slot
+     * order (coherence bookkeeping on withdrawal/reassignment; it
+     * allocates nothing). */
+    template <typename F>
+    void
+    forEachResidentLine(F &&visit) const
+    {
+        for (u32 i = 0; i < numLines_; ++i)
+            if ((flags_[i] & kLineValid) != 0)
+                visit((tags_[i] * numLines_ + i) * lineSize_);
+    }
 
   private:
     friend class Tile; // sole caller of markDecommissioned()

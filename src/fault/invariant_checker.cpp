@@ -95,11 +95,12 @@ InvariantChecker::check(const MolecularCache &cache)
             const Molecule &m = cache.molecule(id);
 
             ++rep.checksRun;
-            if (m.residentLines().size() != m.validLines())
+            u32 resident = 0;
+            m.forEachResidentLine([&](Addr) { ++resident; });
+            if (resident != m.validLines())
                 fail(molName(id) + " validLines()=" +
                      std::to_string(m.validLines()) + " but " +
-                     std::to_string(m.residentLines().size()) +
-                     " resident lines");
+                     std::to_string(resident) + " resident lines");
 
             if (m.decommissioned()) {
                 ++dec_here;

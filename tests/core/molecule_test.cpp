@@ -150,7 +150,8 @@ TEST(Molecule, ResidentLinesRoundTrip)
     const std::vector<Addr> filled = {0x0, 0x40, 0x1000, 0x1fc0};
     for (const Addr a : filled)
         m.fill(a, false);
-    auto resident = m.residentLines();
+    std::vector<Addr> resident;
+    m.forEachResidentLine([&](Addr a) { resident.push_back(a); });
     std::sort(resident.begin(), resident.end());
     EXPECT_EQ(resident, filled);
 }
@@ -161,7 +162,8 @@ TEST(Molecule, ResidentLinesReconstructHighAddresses)
     m.assignTo(Asid{1});
     const Addr high = (static_cast<Addr>(3) << 34) + 5 * 64;
     m.fill(high, false);
-    const auto resident = m.residentLines();
+    std::vector<Addr> resident;
+    m.forEachResidentLine([&](Addr a) { resident.push_back(a); });
     ASSERT_EQ(resident.size(), 1u);
     EXPECT_EQ(resident[0], high);
 }

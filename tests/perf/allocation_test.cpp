@@ -1,15 +1,18 @@
 /**
  * @file
  * Pins the zero-allocation property of the steady-state access path
- * (docs/perf.md): once a working set is warm, MolecularCache::access
- * must perform no heap allocations — the memoized probe schedules and
- * dense indices make the hot path allocation-free, and this test is the
- * gate that keeps it that way.
+ * (docs/perf.md): once the cache is warm, MolecularCache::access must
+ * perform no heap allocations, on hits and on misses alike — the
+ * memoized probe schedules and dense indices make the hit path
+ * allocation-free, the flat coherence directory (sized from the cache
+ * geometry, invalidations as a bitmask) does the same for the miss
+ * path, and this test is the gate that keeps it that way.
  *
  * The whole binary's global operator new/delete are replaced with
- * counting versions; the test samples the counter around a window of
- * all-hit accesses and requires it not to move.  This TU must stay its
- * own test binary so the override cannot perturb the other suites.
+ * counting versions; each test samples the counter around a window of
+ * all-hit or all-miss accesses and requires it not to move.  This TU
+ * must stay its own test binary so the override cannot perturb the
+ * other suites.
  */
 
 #include <gtest/gtest.h>
@@ -168,6 +171,41 @@ TEST(HotpathAllocations, ZeroPerAccessRandy)
 TEST(HotpathAllocations, ZeroPerAccessLruDirect)
 {
     expectZeroAllocSteadyState(PlacementPolicy::LruDirect);
+}
+
+/** Misses allocate nothing either: each fill evicts a line and
+ * inserts a new one, and the directory reuses its slots. */
+TEST(HotpathAllocations, ZeroPerMissSteadyState)
+{
+    MolecularCache cache(steadyParams(PlacementPolicy::Randy));
+    for (u16 a = 0; a < 2; ++a)
+        cache.registerApplication(Asid{a}, 0.1);
+
+    // 4096 distinct lines per app streamed through 2-molecule regions
+    // (256 line slots): every line is long evicted before it returns.
+    std::vector<MemAccess> trace;
+    for (u32 i = 0; i < 4096; ++i) {
+        for (u16 a = 0; a < 2; ++a) {
+            trace.push_back({static_cast<Addr>(i) * 64, Asid{a},
+                             i % 5 == 0 ? AccessType::Write
+                                        : AccessType::Read});
+        }
+    }
+    for (int pass = 0; pass < 3; ++pass)
+        for (const MemAccess &m : trace)
+            cache.access(m);
+
+    u64 misses = 0;
+    const unsigned long long before = g_heapAllocs.load();
+    for (int pass = 0; pass < 4; ++pass)
+        for (const MemAccess &m : trace)
+            misses += cache.access(m).hit ? 0 : 1;
+    const unsigned long long after = g_heapAllocs.load();
+
+    ASSERT_EQ(misses, 4u * trace.size())
+        << "measurement window must be all misses (steady-state fills)";
+    EXPECT_EQ(after - before, 0u)
+        << "steady-state misses must not allocate";
 }
 
 /** The counter itself must observe allocations, or the zero above would

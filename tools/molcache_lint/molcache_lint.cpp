@@ -429,9 +429,9 @@ checkHotPathMap(const SourceFile &f, const Context &)
     // sets and lists, and members without the trailing underscore too,
     // so plain-named nested structs (MolecularCache::WayMemo,
     // Region::MolEntry and friends) are held to the same
-    // dense-layout bar as classic members.  Genuinely sparse state
-    // (e.g. the per-line coherence directory) opts out with the allow
-    // tag.
+    // dense-layout bar as classic members.  Genuinely sparse or
+    // off-hot-path state (e.g. the ordered region authority that
+    // resize cycles walk) opts out with the allow tag.
     static const std::regex rx(
         R"(\bstd\s*::\s*((unordered_)?(map|set|multimap|multiset)|list)\s*<[^;{}()]*>\s+\w+\s*(\{\s*\})?\s*;)");
     for (auto it = std::sregex_iterator(f.code.begin(), f.code.end(), rx);

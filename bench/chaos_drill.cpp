@@ -153,7 +153,10 @@ attachOne(mc::Service &service, Board &board, ChurnProcess &churn,
     tenant.profile =
         churn.makeProfile(ordinal, service.options().cache.lineSize);
     mc::TenantSpec spec;
-    spec.name = "t" + std::to_string(ordinal);
+    // Appended, not `"t" + std::to_string(...)`: GCC 12 at -O3 reports
+    // a false -Wrestrict on that operator+ overload.
+    spec.name = "t";
+    spec.name += std::to_string(ordinal);
     spec.missRateGoal = tenant.profile.missRateGoal;
     mc::AttachError error = mc::AttachError::None;
     tenant.handle = service.attach(spec, &error);

@@ -82,7 +82,7 @@ main()
     SimAccess{cache}.injectTransientFlip(victim, 3);
     drive(cache, *source, 50'000);
     std::printf("transient flip into molecule %u: %llu detected, "
-                "%llu dirty lines lost\n", victim,
+                "%llu dirty lines lost\n", victim.value(),
                 static_cast<unsigned long long>(
                     cache.faultStats().transientFlipsDetected),
                 static_cast<unsigned long long>(
@@ -93,11 +93,12 @@ main()
     //    second fences the molecule — its ASID gate never matches again
     //    and the owning region notes the capacity loss.
     SimAccess{cache}.injectHardFault(victim);
-    std::printf("hard fault #1 on molecule %u: decommissioned=%s\n", victim,
+    std::printf("hard fault #1 on molecule %u: decommissioned=%s\n",
+                victim.value(),
                 cache.molecule(victim).decommissioned() ? "yes" : "no");
     SimAccess{cache}.injectHardFault(victim);
     std::printf("hard fault #2 on molecule %u: decommissioned=%s, "
-                "region0 lost %llu molecule(s)\n", victim,
+                "region0 lost %llu molecule(s)\n", victim.value(),
                 cache.molecule(victim).decommissioned() ? "yes" : "no",
                 static_cast<unsigned long long>(
                     cache.region(Asid{0}).moleculesLost));

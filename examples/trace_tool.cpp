@@ -96,7 +96,7 @@ cmdInfo(const std::string &path)
                     static_cast<unsigned long long>(hi));
     }
     for (const auto &[asid, count] : per_asid) {
-        std::printf("  asid %u: %llu refs\n", asid,
+        std::printf("  asid %u: %llu refs\n", asid.value(),
                     static_cast<unsigned long long>(count));
     }
     return 0;
@@ -124,7 +124,7 @@ printReplay(const std::string &path, const CacheModel &cache)
     std::printf("global miss rate: %.4f\n",
                 cache.stats().global().missRate());
     for (const auto &[asid, c] : cache.stats().perAsid()) {
-        std::printf("  asid %u: %llu refs, miss rate %.4f\n", asid,
+        std::printf("  asid %u: %llu refs, miss rate %.4f\n", asid.value(),
                     static_cast<unsigned long long>(c.accesses),
                     c.missRate());
     }

@@ -353,21 +353,29 @@ Molecule *
 MolecularCache::probeTile(Tile &tile, const std::vector<MoleculeId> &mols,
                           Addr addr)
 {
-    // Slot of line index li in molecule id: (id - first) * linesPerMol
-    // + li — a pure offset computation into the tile's contiguous
-    // arrays, no per-molecule pointer chase.  No software prefetch: the
-    // scanned slots are usually cache-resident, and prefetching two
-    // probes ahead measured ~10 % slower end to end (docs/perf.md).
+    // Line-major slots (Tile::lineTags): every probe of this scan reads
+    // one row, row + (id - first).  No software prefetch: the scanned
+    // slots are usually cache-resident, and prefetching two probes
+    // ahead measured ~10 % slower end to end (docs/perf.md).
     const Addr tag = addr >> tagShift_;
     const u32 li =
         static_cast<u32>(addr >> lineShift_) & (linesPerMol_ - 1);
     const Addr *tags = tile.lineTags();
     const u8 *flags = tile.lineFlags();
     const MoleculeId first = tile.firstMolecule();
+    const u32 row = li * tile.numMolecules();
     for (const MoleculeId id : mols) {
-        const u32 slot = (id - first) * linesPerMol_ + li;
+        const u32 slot = row + (id - first);
         const u8 f = flags[slot];
-        if ((f & kLineValid) == 0)
+        // One rarely-taken branch per probe: non-short-circuit &/| read
+        // the tag whether or not the slot is valid, keeping the valid
+        // bit out of the branch.  Exact because poisoned implies valid
+        // (poisonLine only marks valid slots) and an invalid slot is
+        // all-zero (clearLine), so it never carries a poisoned bit.
+        const bool candidate =
+            (((f & kLineValid) != 0) & (tags[slot] == tag)) |
+            ((f & kLinePoisoned) != 0);
+        if (!candidate)
             continue;
         if ((f & kLinePoisoned) != 0) [[unlikely]] {
             // The probe read data + tag + parity; the poisoned slot
@@ -381,8 +389,7 @@ MolecularCache::probeTile(Tile &tile, const std::vector<MoleculeId> &mols,
                                     tile.cluster());
             continue;
         }
-        if (tags[slot] == tag)
-            return &tile.molecule(id);
+        return &tile.molecule(id);
     }
     return nullptr;
 }

@@ -270,10 +270,12 @@ class MolecularCache final : public CacheModel, private MoleculeBroker
 
     /**
      * Probe @p mols, in order, on @p tile; @return the first hit
-     * molecule or nullptr.  Scans the tile's struct-of-arrays tag view
-     * (Tile::lineTags); a poisoned slot fails its parity check, is
-     * scrubbed and reads as a miss.  The one tag-probe loop for home
-     * and remote tiles alike.
+     * molecule or nullptr.  Scans one row of the tile's line-major
+     * struct-of-arrays tag view (Tile::lineTags) with one rarely-taken
+     * branch per probe; a poisoned slot met before the hit fails its
+     * parity check, is scrubbed in schedule order and reads as a miss,
+     * and nothing after the hit is touched.  The one tag-probe loop for
+     * home and remote tiles alike.
      */
     Molecule *probeTile(Tile &tile, const std::vector<MoleculeId> &mols,
                         Addr addr);

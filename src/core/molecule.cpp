@@ -22,9 +22,9 @@ Molecule::Molecule(MoleculeId id, TileId tile, u32 numLines,
 }
 
 Molecule::Molecule(MoleculeId id, TileId tile, u32 numLines, u32 lineSize,
-                   Addr *tags, Tick *touched, u8 *flags)
+                   Addr *tags, Tick *touched, u8 *flags, u32 stride)
     : id_(id), tile_(tile), numLines_(numLines), lineSize_(lineSize),
-      tags_(tags), touched_(touched), flags_(flags)
+      stride_(stride), tags_(tags), touched_(touched), flags_(flags)
 {
     MOLCACHE_EXPECT(numLines > 0 && isPowerOfTwo(numLines),
                     "molecule lines must be a power of two");
@@ -32,6 +32,7 @@ Molecule::Molecule(MoleculeId id, TileId tile, u32 numLines, u32 lineSize,
     MOLCACHE_EXPECT(tags != nullptr && touched != nullptr &&
                         flags != nullptr,
                     "molecule line-view pointers must be non-null");
+    MOLCACHE_EXPECT(stride > 0, "molecule line-view stride must be > 0");
     lineShift_ = floorLog2(lineSize);
     tagShift_ = lineShift_ + floorLog2(numLines);
 }
@@ -39,9 +40,30 @@ Molecule::Molecule(MoleculeId id, TileId tile, u32 numLines, u32 lineSize,
 void
 Molecule::clearLine(u32 index)
 {
-    tags_[index] = 0;
-    touched_[index] = 0;
-    flags_[index] = 0;
+    const size_t s = slot(index);
+    tags_[s] = 0;
+    touched_[s] = 0;
+    flags_[s] = 0;
+}
+
+u32
+Molecule::dropAllLines()
+{
+    // Invalid slots are already all-zero (clearLine is the only way a
+    // slot becomes invalid), so skipping them leaves the same state a
+    // full clear would, and the walk ends at the last held line.
+    u32 dirty = 0;
+    for (u32 i = 0; i < numLines_ && valid_ != 0; ++i) {
+        const u8 f = flags_[slot(i)];
+        if ((f & kLineValid) == 0)
+            continue;
+        // Poisoned lines are corrupt: dropped, never written back.
+        if ((f & (kLineDirty | kLinePoisoned)) == kLineDirty)
+            ++dirty;
+        clearLine(i);
+        --valid_;
+    }
+    return dirty;
 }
 
 void
@@ -51,9 +73,7 @@ Molecule::assignTo(Asid asid)
     MOLCACHE_EXPECT(!decommissioned_, "assigning a decommissioned molecule");
     // Reconfiguration invalidates contents: region data must not leak
     // between applications.
-    for (u32 i = 0; i < numLines_; ++i)
-        clearLine(i);
-    valid_ = 0;
+    dropAllLines();
     asid_ = asid;
     missCount_ = 0;
 }
@@ -61,16 +81,7 @@ Molecule::assignTo(Asid asid)
 u32
 Molecule::release()
 {
-    u32 dirty = 0;
-    for (u32 i = 0; i < numLines_; ++i) {
-        // Poisoned lines are corrupt: dropped, never written back.
-        const u8 f = flags_[i];
-        if ((f & (kLineValid | kLineDirty | kLinePoisoned)) ==
-            (kLineValid | kLineDirty))
-            ++dirty;
-        clearLine(i);
-    }
-    valid_ = 0;
+    const u32 dirty = dropAllLines();
     asid_ = kInvalidAsid;
     shared_ = false;
     missCount_ = 0;
@@ -80,69 +91,71 @@ Molecule::release()
 void
 Molecule::markDirty(Addr addr)
 {
-    const u32 i = indexOf(addr);
-    MOLCACHE_EXPECT((flags_[i] & kLineValid) != 0 &&
-                        tags_[i] == tagOf(addr),
+    const size_t s = slot(indexOf(addr));
+    MOLCACHE_EXPECT((flags_[s] & kLineValid) != 0 &&
+                        tags_[s] == tagOf(addr),
                     "markDirty on non-resident line");
-    flags_[i] |= kLineDirty;
+    flags_[s] |= kLineDirty;
 }
 
 std::optional<Eviction>
 Molecule::fill(Addr addr, bool dirty, Tick tick)
 {
     const u32 i = indexOf(addr);
-    const u8 f = flags_[i];
+    const size_t s = slot(i);
+    const u8 f = flags_[s];
     std::optional<Eviction> evicted;
     if ((f & kLineValid) != 0) {
-        if (tags_[i] == tagOf(addr)) {
+        if (tags_[s] == tagOf(addr)) {
             // Refill of a resident line.  A poisoned copy is overwritten
             // by the fresh fill, which also clears the corruption — but
             // its dirty bit described lost data, so it must not merge.
             const bool merged = (f & kLinePoisoned) != 0
                                     ? dirty
                                     : ((f & kLineDirty) != 0 || dirty);
-            flags_[i] = kLineValid | (merged ? kLineDirty : 0);
-            touched_[i] = tick;
+            flags_[s] = kLineValid | (merged ? kLineDirty : 0);
+            touched_[s] = tick;
             return std::nullopt;
         }
         // Reconstruct the displaced address from tag+index.
-        const Addr old = (tags_[i] * numLines_ + i) * lineSize_;
+        const Addr old = (tags_[s] * numLines_ + i) * lineSize_;
         evicted = Eviction{old, (f & kLineDirty) != 0,
                            (f & kLinePoisoned) != 0};
     } else {
         ++valid_;
     }
-    tags_[i] = tagOf(addr);
-    flags_[i] = kLineValid | (dirty ? kLineDirty : 0);
-    touched_[i] = tick;
+    tags_[s] = tagOf(addr);
+    flags_[s] = kLineValid | (dirty ? kLineDirty : 0);
+    touched_[s] = tick;
     return evicted;
 }
 
 void
 Molecule::noteTouch(Addr addr, Tick tick)
 {
-    const u32 i = indexOf(addr);
-    MOLCACHE_EXPECT((flags_[i] & kLineValid) != 0 &&
-                        tags_[i] == tagOf(addr),
+    const size_t s = slot(indexOf(addr));
+    MOLCACHE_EXPECT((flags_[s] & kLineValid) != 0 &&
+                        tags_[s] == tagOf(addr),
                     "noteTouch on non-resident line");
-    touched_[i] = tick;
+    touched_[s] = tick;
 }
 
 std::optional<Tick>
 Molecule::slotTouchTick(Addr addr) const
 {
-    const u32 i = indexOf(addr);
-    if ((flags_[i] & kLineValid) == 0)
+    const size_t s = slot(indexOf(addr));
+    if ((flags_[s] & kLineValid) == 0)
         return std::nullopt;
-    return touched_[i];
+    return touched_[s];
 }
 
 bool
 Molecule::invalidate(Addr addr)
 {
     const u32 i = indexOf(addr);
-    const u8 f = flags_[i];
-    if ((f & kLineValid) == 0 || tags_[i] != tagOf(addr))
+    const size_t s = slot(i);
+    const u8 f = flags_[s];
+    if ((f & kLineValid) == 0 || tags_[s] != tagOf(addr))
         return false;
     const bool was_dirty = (f & (kLineDirty | kLinePoisoned)) == kLineDirty;
     clearLine(i);
@@ -154,9 +167,10 @@ bool
 Molecule::poisonLine(u32 index)
 {
     MOLCACHE_EXPECT(index < numLines_, "poisoned line index out of range");
-    if ((flags_[index] & kLineValid) == 0)
+    const size_t s = slot(index);
+    if ((flags_[s] & kLineValid) == 0)
         return false; // flip in an invalid slot: nothing to corrupt
-    flags_[index] |= kLinePoisoned;
+    flags_[s] |= kLinePoisoned;
     return true;
 }
 
@@ -164,12 +178,13 @@ std::optional<Eviction>
 Molecule::scrubIfPoisoned(Addr addr)
 {
     const u32 i = indexOf(addr);
-    const u8 f = flags_[i];
+    const size_t s = slot(i);
+    const u8 f = flags_[s];
     if ((f & kLineValid) == 0 || (f & kLinePoisoned) == 0)
         return std::nullopt;
     // Parity caught the corruption: drop the line whatever tag it holds
     // (the probe reads the whole slot), and report its identity.
-    const Addr resident = (tags_[i] * numLines_ + i) * lineSize_;
+    const Addr resident = (tags_[s] * numLines_ + i) * lineSize_;
     const Eviction dropped{resident, (f & kLineDirty) != 0, true};
     clearLine(i);
     --valid_;
@@ -181,7 +196,7 @@ Molecule::poisonedLines() const
 {
     u32 n = 0;
     for (u32 i = 0; i < numLines_; ++i)
-        if ((flags_[i] & (kLineValid | kLinePoisoned)) ==
+        if ((flags_[slot(i)] & (kLineValid | kLinePoisoned)) ==
             (kLineValid | kLinePoisoned))
             ++n;
     return n;

@@ -30,9 +30,10 @@ struct Eviction
 };
 
 /** @{ Per-line state bits of the struct-of-arrays tag view.  Line state
- * is split into three parallel arrays (tags / recency stamps / flag
- * bytes) so the access path's tile probe can scan a tile's slots as
- * contiguous memory (docs/perf.md). */
+ * is split into three parallel tile-owned arrays (tags / recency stamps
+ * / flag bytes), line-major, so the access path's tile probe reads one
+ * row per scan; a molecule's own lines are a strided view of them
+ * (docs/perf.md). */
 inline constexpr u8 kLineValid = 1u << 0;
 inline constexpr u8 kLineDirty = 1u << 1;
 inline constexpr u8 kLinePoisoned = 1u << 2;
@@ -54,13 +55,15 @@ class Molecule
 
     /**
      * View onto tile-owned struct-of-arrays line storage: @p tags,
-     * @p touched and @p flags each point at @p numLines zero-initialized
-     * slots inside the tile's contiguous arrays.  The pointers must stay
-     * valid for the molecule's lifetime (vector heap buffers survive
-     * Tile moves, so they do).
+     * @p touched and @p flags each point at the molecule's line-0 slot
+     * inside the tile's contiguous arrays, and line i lives @p stride
+     * slots further per line (Tile::lineTags gives the layout).  All
+     * @p numLines viewed slots must be zero-initialized.  The pointers
+     * must stay valid for the molecule's lifetime (vector heap buffers
+     * survive Tile moves, so they do).
      */
     Molecule(MoleculeId id, TileId tile, u32 numLines, u32 lineSize,
-             Addr *tags, Tick *touched, u8 *flags);
+             Addr *tags, Tick *touched, u8 *flags, u32 stride);
 
     /* Line storage is referenced by raw pointers; copying would alias
      * two molecules onto one owner's slots. Moves are fine: the owning
@@ -102,8 +105,8 @@ class Molecule
     bool
     lookup(Addr addr) const
     {
-        const u32 i = indexOf(addr);
-        return (flags_[i] & kLineValid) != 0 && tags_[i] == tagOf(addr);
+        const size_t s = slot(indexOf(addr));
+        return (flags_[s] & kLineValid) != 0 && tags_[s] == tagOf(addr);
     }
 
     /** Outcome of a single hot-path probe (see probe()). */
@@ -118,13 +121,13 @@ class Molecule
     ProbeOutcome
     probe(Addr addr) const
     {
-        const u32 i = indexOf(addr);
-        const u8 f = flags_[i];
+        const size_t s = slot(indexOf(addr));
+        const u8 f = flags_[s];
         if ((f & kLineValid) == 0)
             return ProbeOutcome::Miss;
         if ((f & kLinePoisoned) != 0) [[unlikely]]
             return ProbeOutcome::Poisoned;
-        return tags_[i] == tagOf(addr) ? ProbeOutcome::Hit
+        return tags_[s] == tagOf(addr) ? ProbeOutcome::Hit
                                        : ProbeOutcome::Miss;
     }
 
@@ -200,16 +203,31 @@ class Molecule
     void
     forEachResidentLine(F &&visit) const
     {
-        for (u32 i = 0; i < numLines_; ++i)
-            if ((flags_[i] & kLineValid) != 0)
-                visit((tags_[i] * numLines_ + i) * lineSize_);
+        for (u32 i = 0; i < numLines_; ++i) {
+            const size_t s = slot(i);
+            if ((flags_[s] & kLineValid) != 0)
+                visit((tags_[s] * numLines_ + i) * lineSize_);
+        }
     }
 
   private:
     friend class Tile; // sole caller of markDecommissioned()
 
-    /** Reset one slot to the invalid state (`Line{}` of old). */
+    /** Position of line @p index in the struct-of-arrays views. */
+    size_t
+    slot(u32 index) const
+    {
+        return static_cast<size_t>(index) * stride_;
+    }
+
+    /** Reset line @p index to the invalid, all-zero state — the only
+     * way a slot becomes invalid, so every invalid slot reads zero. */
     void clearLine(u32 index);
+
+    /** Invalidate every held line, stopping once none is left (free
+     * molecules hold none, so reassigning one walks nothing).
+     * @return dirty non-poisoned lines dropped (writebacks). */
+    u32 dropAllLines();
     void markDecommissioned() { decommissioned_ = true; }
 
     /** Slot index / tag of @p addr.  Line size and line count are
@@ -234,9 +252,13 @@ class Molecule
     u32 tagShift_ = 0;  ///< log2(lineSize_ * numLines_)
     Asid asid_ = kInvalidAsid;
     bool shared_ = false;
-    /** @{ Struct-of-arrays line state.  Either views into the owning
-     * tile's contiguous per-tile arrays (hot configuration) or into the
-     * own* vectors below (standalone construction). */
+    /** @{ Struct-of-arrays line state, indexed through slot().  Either
+     * strided views into the owning tile's line-major arrays (hot
+     * configuration: line i of this molecule is `stride_` =
+     * molecules-per-tile slots after line i - 1, so one row holds line
+     * i of every molecule on the tile) or dense views into the own*
+     * vectors below (standalone construction, stride 1). */
+    u32 stride_ = 1;
     Addr *tags_ = nullptr;
     Tick *touched_ = nullptr;
     u8 *flags_ = nullptr;

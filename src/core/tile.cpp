@@ -15,13 +15,12 @@ Tile::Tile(TileId id, ClusterId cluster, MoleculeId firstMolecule,
 {
     MOLCACHE_EXPECT(numMolecules > 0, "tile with no molecules");
     molecules_.reserve(numMolecules);
-    for (u32 i = 0; i < numMolecules; ++i) {
-        const size_t base = static_cast<size_t>(i) * linesPerMol;
+    // Line-major: molecule i's line li sits at li * numMolecules + i.
+    for (u32 i = 0; i < numMolecules; ++i)
         molecules_.emplace_back(firstMolecule + i, id, linesPerMol,
-                                lineSize, soaTags_.data() + base,
-                                soaTouched_.data() + base,
-                                soaFlags_.data() + base);
-    }
+                                lineSize, soaTags_.data() + i,
+                                soaTouched_.data() + i,
+                                soaFlags_.data() + i, numMolecules);
 }
 
 MoleculeId

@@ -98,13 +98,13 @@ class Tile
 
     /** @{ Struct-of-arrays tag view scanned by the access path's tile
      * probe (docs/perf.md).  All line state of the tile's molecules
-     * lives in these contiguous per-tile arrays; each molecule holds
-     * pointer views into its lines-per-molecule-sized span.  The slot
+     * lives in these contiguous per-tile arrays, line-major: the slot
      * of address line index @p li in molecule @p mol is
-     * `(mol - firstMolecule()) * linesPerMolecule + li` — a pure
-     * offset computation, no per-molecule pointer chase.  Coherent by
-     * construction: molecules mutate line state through the same
-     * storage. */
+     * `li * numMolecules() + (mol - firstMolecule())`, so one row holds
+     * line li of every molecule and a probe scan reads one row, not one
+     * span per molecule.  Each molecule holds strided pointer views
+     * (stride numMolecules()) into the same storage, so the view is
+     * coherent by construction.  An invalid slot is all-zero. */
     const Addr *lineTags() const { return soaTags_.data(); }
     const u8 *lineFlags() const { return soaFlags_.data(); }
     /** @} */

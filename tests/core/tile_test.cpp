@@ -60,6 +60,55 @@ TEST(Tile, ReleaseThenReallocate)
     EXPECT_EQ(t.molecule(b).configuredAsid(), Asid{2});
 }
 
+TEST(Tile, LineMajorSlotLayout)
+{
+    // The slot contract Tile::lineTags() shares with Molecule and the
+    // access path's tile probe: line li of molecule id lives at
+    // li * numMolecules() + (id - firstMolecule()).
+    Tile t = makeTile();
+    const MoleculeId a = t.allocate(Asid{1});
+    const MoleculeId b = t.allocate(Asid{1});
+    ASSERT_EQ(b - a, 1u); // neighbours in every row
+    const u32 n = t.numMolecules();
+    const u32 linesPerMol = 128;
+    const Addr span = Addr{linesPerMol} * 64; // one tag step
+    const auto slot = [&](MoleculeId id, u32 li) {
+        return li * n + (id - t.firstMolecule());
+    };
+
+    // Molecule a: lines 0 and 5 (5 dirty), tag 3; molecule b: line 7.
+    t.molecule(a).fill(3 * span + 0 * 64, false);
+    t.molecule(a).fill(3 * span + 5 * 64, true);
+    t.molecule(b).fill(9 * span + 7 * 64, false);
+
+    const Addr *tags = t.lineTags();
+    const u8 *flags = t.lineFlags();
+    EXPECT_EQ(tags[slot(a, 0)], 3u);
+    EXPECT_EQ(flags[slot(a, 0)], kLineValid);
+    EXPECT_EQ(tags[slot(a, 5)], 3u);
+    EXPECT_EQ(flags[slot(a, 5)], kLineValid | kLineDirty);
+    EXPECT_EQ(tags[slot(b, 7)], 9u);
+    EXPECT_EQ(flags[slot(b, 7)], kLineValid);
+    // The neighbour's slots in the same rows are untouched.
+    for (const u32 li : {0u, 5u}) {
+        EXPECT_EQ(tags[slot(b, li)], 0u);
+        EXPECT_EQ(flags[slot(b, li)], 0u);
+    }
+    EXPECT_EQ(tags[slot(a, 7)], 0u);
+    EXPECT_EQ(flags[slot(a, 7)], 0u);
+
+    // Release leaves every slot of the molecule all-zero (an invalid
+    // slot is always zero) and the neighbour's line in place.
+    EXPECT_EQ(t.release(a), 1u);
+    for (u32 li = 0; li < linesPerMol; ++li) {
+        EXPECT_EQ(tags[slot(a, li)], 0u) << "line " << li;
+        EXPECT_EQ(flags[slot(a, li)], 0u) << "line " << li;
+    }
+    EXPECT_EQ(tags[slot(b, 7)], 9u);
+    EXPECT_EQ(flags[slot(b, 7)], kLineValid);
+    EXPECT_TRUE(t.molecule(b).lookup(9 * span + 7 * 64));
+}
+
 TEST(Tile, PortAccounting)
 {
     Tile t = makeTile();

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "core/molecular_cache.hpp"
 #include "core/sim_access.hpp"
 #include "fault/invariant_checker.hpp"
@@ -205,6 +208,64 @@ TEST(TransientFlip, MemoPredictedLineIsScrubbedAndFusesMemoOff)
         EXPECT_TRUE(cache.access({addr, Asid{0}, AccessType::Read}).hit);
     EXPECT_EQ(cache.wayMemoHits(), 1u);
     EXPECT_EQ(cache.wayMemoMispredicts(), 0u);
+    expectClean(cache);
+}
+
+/**
+ * Poisoned slots holding other lines, on either side of the hit in the
+ * home schedule: the in-order walk scrubs the one it meets before the
+ * hit (dropping that line from the directory) and still returns the
+ * hit, and never touches a slot after the hit.
+ */
+TEST(TransientFlip, PoisonBeforeHitIsScrubbedInScheduleOrder)
+{
+    MolecularCacheParams p = smallParams();
+    p.initialMolecules = 4;
+    p.resizePeriod = 1'000'000; // no resize moves the region mid-test
+    p.maxResizePeriod = 1'000'000;
+    MolecularCache cache(p);
+    cache.registerApplication(Asid{0}, 0.1, ClusterId{0}, 0, 1);
+    const Region &region = cache.region(Asid{0});
+
+    // Many tags at one line index spread over the home molecules; each
+    // molecule ends up holding at most one of them.
+    const u32 lines = cache.params().linesPerMolecule();
+    const u32 index = 5;
+    std::vector<Addr> addrs;
+    for (u32 k = 0; k < 32; ++k)
+        addrs.push_back(addrFor(Asid{0}, index + k * lines));
+    for (const Addr a : addrs)
+        cache.access({a, Asid{0}, AccessType::Read});
+
+    // Holders in home-schedule order (no shared bits: the region's own
+    // home-tile molecules in grant order).
+    std::vector<std::pair<MoleculeId, Addr>> holders;
+    for (const MoleculeId id : region.byTile().at(region.homeTile()))
+        for (const Addr a : addrs)
+            if (cache.molecule(id).lookup(a))
+                holders.emplace_back(id, a);
+    ASSERT_GE(holders.size(), 3u);
+    const auto [before, lost] = holders[0];
+    const auto [hitMol, hitLine] = holders[1];
+    const auto [after, kept] = holders[2];
+    ASSERT_NE(cache.directory().holderCount(lineAddrOf(lost, 64)), 0u);
+
+    SimAccess{cache}.injectTransientFlip(before, index);
+    AccessResult r = cache.access({hitLine, Asid{0}, AccessType::Read});
+    EXPECT_TRUE(r.hit);
+    EXPECT_EQ(r.level, 0u);
+    EXPECT_EQ(cache.faultStats().transientFlipsDetected, 1u);
+    EXPECT_FALSE(cache.molecule(before).lookup(lost));
+    EXPECT_EQ(cache.directory().holderCount(lineAddrOf(lost, 64)), 0u);
+    EXPECT_TRUE(cache.molecule(hitMol).lookup(hitLine));
+
+    SimAccess{cache}.injectTransientFlip(after, index);
+    r = cache.access({hitLine, Asid{0}, AccessType::Read});
+    EXPECT_TRUE(r.hit);
+    EXPECT_EQ(cache.faultStats().transientFlipsDetected, 1u);
+    // Still latent: the walk stopped at the hit.
+    EXPECT_EQ(cache.molecule(after).poisonedLines(), 1u);
+    EXPECT_TRUE(cache.molecule(after).lookup(kept));
     expectClean(cache);
 }
 

@@ -38,8 +38,9 @@ TEST(Noc, CrossbarIsOneHop)
     NocModel noc(8, params(NocTopology::Crossbar));
     for (u32 a = 0; a < 8; ++a)
         for (u32 b = 0; b < 8; ++b)
-            if (a != b)
+            if (a != b) {
                 EXPECT_EQ(noc.hopCount(a, b), 1u);
+            }
     EXPECT_EQ(noc.diameter(), 1u);
 }
 

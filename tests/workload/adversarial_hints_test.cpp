@@ -118,9 +118,10 @@ TEST(AdversarialHints, InvertPhasePromisesTheDepartingFootprint)
         // exactly one phase out of step with the honest schedule.
         EXPECT_NE(lies[i].predictedFootprintBytes,
                   truth[i].predictedFootprintBytes);
-        if (i > 0)
+        if (i > 0) {
             EXPECT_EQ(lies[i].predictedFootprintBytes,
                       truth[i - 1].predictedFootprintBytes);
+        }
     }
 }
 

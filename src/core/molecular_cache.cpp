@@ -20,7 +20,7 @@ MolecularCache::MolecularCache(const MolecularCacheParams &params)
       // validate() below can report it.
       directory_(params.clusters, params.totalSizeBytes().value() /
                                       std::max(params.lineSize, 1u)),
-      noc_(params.clusters, params.noc), resizer_(params)
+      noc_(params.clusters), resizer_(params)
 {
     params_.validate();
 
@@ -46,7 +46,6 @@ MolecularCache::MolecularCache(const MolecularCacheParams &params)
     sharedByTile_.assign(total_tiles, {});
     if (isPowerOfTwo(params_.moleculesPerTile))
         molShift_ = static_cast<i32>(floorLog2(params_.moleculesPerTile));
-    wayMemoOn_ = params_.wayMemoization;
     linesPerMol_ = params_.linesPerMolecule();
     lineShift_ = floorLog2(params_.lineSize);
     tagShift_ = lineShift_ + floorLog2(linesPerMol_);
@@ -58,30 +57,28 @@ MolecularCache::MolecularCache(const MolecularCacheParams &params)
     if (params_.guardian.enabled)
         guardian_ = std::make_unique<QosGuardian>(params_);
 
-    if (params_.enableEnergy) {
-        const CactiModel model(params_.techNode);
-        CacheGeometry mol;
-        mol.sizeBytes = params_.moleculeSize;
-        mol.associativity = 1;
-        mol.lineSize = params_.lineSize;
-        mol.ports = 1;
-        mol.extraTagBits = 17; // 16-bit ASID + shared bit
-        molProbeNj_ = molecularPerProbeEnergyNj(model, mol,
-                                                params_.moleculesPerTile);
-        molFillNj_ = model.evaluate(mol).writeEnergyNj;
-        tileFixedNj_ = molecularTileFixedEnergyNj(model, mol,
-                                                  params_.moleculesPerTile);
-        // Ulmo hop: request + line flight across the cluster's footprint.
-        const double mol_area = model.evaluate(mol).areaMm2;
-        const double cluster_area = mol_area * params_.moleculesPerTile *
-                                    params_.tilesPerCluster;
-        const double flight_mm = 2.0 * std::sqrt(cluster_area);
-        const u64 bus_bits = mol.addrBits +
-                             static_cast<u64>(params_.lineSize) * 8;
-        ulmoHopNj_ = static_cast<double>(bus_bits) * flight_mm *
-                     model.tech().wireCapFfPerMm * model.tech().vdd *
-                     model.tech().vdd * 1e-6;
-    }
+    const CactiModel model(TechNode::Nm70);
+    CacheGeometry mol;
+    mol.sizeBytes = params_.moleculeSize;
+    mol.associativity = 1;
+    mol.lineSize = params_.lineSize;
+    mol.ports = 1;
+    mol.extraTagBits = 17; // 16-bit ASID + shared bit
+    molProbeNj_ = molecularPerProbeEnergyNj(model, mol,
+                                            params_.moleculesPerTile);
+    molFillNj_ = model.evaluate(mol).writeEnergyNj;
+    tileFixedNj_ = molecularTileFixedEnergyNj(model, mol,
+                                              params_.moleculesPerTile);
+    // Ulmo hop: request + line flight across the cluster's footprint.
+    const double mol_area = model.evaluate(mol).areaMm2;
+    const double cluster_area = mol_area * params_.moleculesPerTile *
+                                params_.tilesPerCluster;
+    const double flight_mm = 2.0 * std::sqrt(cluster_area);
+    const u64 bus_bits = mol.addrBits +
+                         static_cast<u64>(params_.lineSize) * 8;
+    ulmoHopNj_ = static_cast<double>(bus_bits) * flight_mm *
+                 model.tech().wireCapFfPerMm * model.tech().vdd *
+                 model.tech().vdd * 1e-6;
 }
 
 void
@@ -118,8 +115,7 @@ MolecularCache::registerApplication(Asid asid, double resizeGoal,
     auto [it, inserted] = regions_.emplace(
         std::piecewise_construct, std::forward_as_tuple(asid),
         std::forward_as_tuple(asid, params_.placement, lineMultiple,
-                              home_tile, cluster, params_.moleculeSize,
-                              params_.initialRowMax));
+                              home_tile, cluster, params_.moleculeSize));
     MOLCACHE_ENSURE(inserted, "region emplace failed");
     Region &region = it->second;
     if (regionIndex_.size() <= asid.value())
@@ -553,8 +549,7 @@ MolecularCache::access(const MemAccess &a)
         intervalMisses_.increment();
     probesTotal_ += probes;
     enabledIntegral_ += region.size();
-    if (params_.enableEnergy)
-        energyNj_ += energy;
+    energyNj_ += energy;
 
     // Resize scheduling: the global schemes are due on the access tick;
     // the per-app scheme checks the region's own deadline.
@@ -567,7 +562,7 @@ MolecularCache::access(const MemAccess &a)
 
     AccessResult result;
     result.hit = hit;
-    result.energyNj = params_.enableEnergy ? energy : 0.0;
+    result.energyNj = energy;
     result.latencyCycles = latency;
     result.level = level;
     return result;
@@ -779,11 +774,6 @@ MolecularCache::grant(Region &region, u32 count)
         if (got > before)
             ulmo.noteDonation();
     }
-    // Guardian pool-pressure accounting: a short grant means the whole
-    // cluster is out of free molecules.  Gated on the guardian so the
-    // unguarded build's counters stay untouched.
-    if (guardian_ != nullptr && got < count)
-        ulmo.noteGrantShortfall(count - got);
     return got;
 }
 

@@ -401,10 +401,10 @@ class MolecularCache final : public CacheModel, private MoleculeBroker
         std::vector<WayMemoEntry> slots;
     };
     std::vector<WayMemo> wayMemo_;
-    /** params_.wayMemoization, dropped for good by the first transient
-     * flip: a poisoned slot must be discovered by the full in-order
-     * walk (probeTile scrubs it), which a memo shortcut would skip. */
-    bool wayMemoOn_ = false;
+    /** On until the first transient flip, then off for good: a poisoned
+     * slot must be discovered by the full in-order walk (probeTile
+     * scrubs it), which a memo shortcut would skip. */
+    bool wayMemoOn_ = true;
     u64 wayMemoHits_ = 0;
     u64 wayMemoMispredicts_ = 0;
     u64 wayMemoInvalidations_ = 0;

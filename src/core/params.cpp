@@ -78,8 +78,6 @@ MolecularCacheParams::validate() const
         fatal("region line multiple exceeds molecule capacity");
     if (maxAllocationChunk == 0)
         fatal("maxAllocationChunk must be >= 1");
-    if (thrashThreshold <= 0.0 || thrashThreshold > 1.0)
-        fatal("thrash threshold out of (0,1]");
     if (resizePeriod == 0)
         fatal("resize period must be > 0");
     if (minResizePeriod == 0 || minResizePeriod > maxResizePeriod)

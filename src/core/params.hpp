@@ -17,8 +17,6 @@
 
 #include <string>
 
-#include "noc/topology.hpp"
-#include "power/tech.hpp"
 #include "util/random.hpp"
 #include "util/types.hpp"
 #include "util/units.hpp"
@@ -184,27 +182,10 @@ struct MolecularCacheParams
      * to 10%) against deciding on statistically meaningless samples.
      */
     u64 minIntervalSample = 2000;
-    /** Miss rate above which a partition is considered thrashing. */
-    double thrashThreshold = 0.5;
-    /**
-     * Relative improvement over the previous interval required for the
-     * grow branch ("miss rate < last miss rate") to keep growing; filters
-     * interval-to-interval noise that would otherwise random-walk a
-     * partition upward at its miss-rate floor.
-     */
-    double improvementEpsilon = 0.05;
 
     InitialAllocation initialAllocation = InitialAllocation::HalfTile;
     /** Molecules for InitialAllocation::Small. */
     u32 initialMolecules = 2;
-    /**
-     * Randy: number of replacement-view rows opened by the initial
-     * allocation (initial molecules are dealt round-robin across them, so
-     * each row starts with width ~= initial/rows).  The paper's figure 4
-     * sketches few rows of width 1-2; too many width-1 rows make the
-     * region behave direct-mapped.
-     */
-    u32 initialRowMax = 8;
 
     /** Default region line-size multiple (1 => 64 B, 2 => 128 B, ...). */
     u32 defaultLineMultiple = 1;
@@ -216,21 +197,6 @@ struct MolecularCacheParams
     /** RNG used for molecule selection (hardware-RNG ablation). */
     RngKind rngKind = RngKind::Pcg32;
     u64 seed = 1;
-
-    /** Grow a partition even when its miss rate did not improve (the
-     * paper's Algorithm 1 grows only while improving; see DESIGN.md). */
-    bool growWhenNotImproving = false;
-
-    /**
-     * Way-memoization probe skipping (Ishihara & Fallah, PAPERS.md): a
-     * dense last-hit-molecule table per ASID, probed before the full
-     * schedule and revalidated by the same generation stamp as the
-     * memoized probe schedule.  A pure simulator fast path — every
-     * modeled counter (probes, energy, latency) is still charged as if
-     * the full home-tile schedule were searched, so results stay
-     * byte-identical with this off or on (docs/perf.md).
-     */
-    bool wayMemoization = true;
 
     /** QoS guardian around the resizer (admission control, hysteresis,
      * floors, watchdog); off by default. */
@@ -244,11 +210,6 @@ struct MolecularCacheParams
      */
     u32 hardFaultThreshold = 1;
 
-    /** Technology node for energy accounting. */
-    TechNode techNode = TechNode::Nm70;
-    /** Account dynamic energy per access (small runtime cost). */
-    bool enableEnergy = true;
-
     /** @{ Latency model, in cache cycles.  The ASID comparison adds one
      * pipeline stage to every molecule access (paper section 3.1); tile
      * misses pay an Ulmo hop per remote tile visited (section 3.3). */
@@ -257,10 +218,6 @@ struct MolecularCacheParams
     Cycles ulmoHopCycles{4};
     Cycles missPenaltyCycles{200};
     /** @} */
-
-    /** Inter-cluster interconnect carrying coherence traffic (the
-     * paper's topology-agnostic "cloud" between tile clusters). */
-    NocParams noc;
 
     u32 totalTiles() const { return clusters * tilesPerCluster; }
     u32 totalMolecules() const { return totalTiles() * moleculesPerTile; }

@@ -57,14 +57,14 @@ TilePlacement::at(TileId tile) const
 
 Region::Region(Asid asid, PlacementPolicy policy, u32 lineMultiple,
                TileId homeTile, ClusterId homeCluster, Bytes moleculeSize,
-               u32 initialRowMax)
+               u32 initialRows)
     : asid_(asid), policy_(policy), lineMultiple_(lineMultiple),
       homeTile_(homeTile), homeCluster_(homeCluster),
-      moleculeSize_(moleculeSize), initialRowMax_(initialRowMax)
+      moleculeSize_(moleculeSize), initialRows_(initialRows)
 {
     MOLCACHE_EXPECT(lineMultiple_ >= 1, "line multiple must be >= 1");
     MOLCACHE_EXPECT(moleculeSize_ > Bytes{0}, "molecule size must be > 0");
-    MOLCACHE_EXPECT(initialRowMax_ >= 1, "initialRowMax must be >= 1");
+    MOLCACHE_EXPECT(initialRows_ >= 1, "initialRows must be >= 1");
 }
 
 Region::MolEntry *
@@ -99,8 +99,8 @@ Region::addMolecule(MoleculeId mol, TileId tile, bool initial)
             rowMiss_.push_back(0);
         }
         row = 0;
-    } else if (rows_.empty() || (initial && rowMax() < initialRowMax_)) {
-        // Initial allocation: open rows up to initialRowMax first ...
+    } else if (rows_.empty() || (initial && rowMax() < initialRows_)) {
+        // Initial allocation: open rows up to initialRows first ...
         rows_.emplace_back();
         rowMiss_.push_back(0);
         row = rowMax() - 1;

@@ -101,10 +101,16 @@ class Region
      * @param homeTile     tile of the owning processor
      * @param homeCluster  cluster of the home tile
      * @param moleculeSize molecule capacity (bytes), fixes the row hash
+     * @param initialRows  Randy rows opened by the initial allocation
+     *                     (initial molecules are dealt round-robin across
+     *                     them, so each row starts with width ~=
+     *                     initial/rows).  The paper's figure 4 sketches
+     *                     few rows of width 1-2; too many width-1 rows
+     *                     make the region behave direct-mapped.
      */
     Region(Asid asid, PlacementPolicy policy, u32 lineMultiple,
            TileId homeTile, ClusterId homeCluster, Bytes moleculeSize,
-           u32 initialRowMax = 8);
+           u32 initialRows = 8);
 
     Asid asid() const { return asid_; }
     TileId homeTile() const { return homeTile_; }
@@ -294,7 +300,7 @@ class Region
     TileId homeTile_;
     ClusterId homeCluster_;
     Bytes moleculeSize_;
-    u32 initialRowMax_;
+    u32 initialRows_;
 
     std::vector<std::vector<MoleculeId>> rows_;
     std::vector<u64> rowMiss_;

@@ -11,6 +11,17 @@ namespace molcache {
 
 namespace {
 
+/** Replacement rate above which a partition is considered thrashing. */
+constexpr double kThrashThreshold = 0.5;
+
+/**
+ * Relative improvement over the previous interval required for the
+ * grow branch ("miss rate < last miss rate") to keep growing; filters
+ * interval-to-interval noise that would otherwise random-walk a
+ * partition upward at its miss-rate floor.
+ */
+constexpr double kImprovementEpsilon = 0.05;
+
 /**
  * Broker wrapper used when a QosGuardian is active: withdrawals are
  * clamped at the region's capacity floor and every grant outcome feeds
@@ -168,7 +179,7 @@ Resizer::resizeRegion(Region &region, double goal,
     // A single noisy interval must not cap a partition, so the clause
     // fires only on the second consecutive thrashing interval.
     const double replacement_rate = region.intervalReplacementRate();
-    if (replacement_rate > params_.thrashThreshold)
+    if (replacement_rate > kThrashThreshold)
         ++region.thrashStreak;
     else
         region.thrashStreak = 0;
@@ -216,8 +227,7 @@ Resizer::resizeRegion(Region &region, double goal,
         const u32 got = broker.withdraw(region, want);
         withdrawn_ += got;
         out.delta -= static_cast<i32>(got);
-    } else if (mr < region.lastMissRate * (1.0 - params_.improvementEpsilon) ||
-               params_.growWhenNotImproving) {
+    } else if (mr < region.lastMissRate * (1.0 - kImprovementEpsilon)) {
         region.maxAllocation = params_.maxAllocationChunk;
         // Above goal but improving: linear cache-size <-> miss-rate model
         // says we need size * mr / goal molecules in total.

@@ -46,13 +46,6 @@ class Ulmo
     void noteInvalidation() { ++invalidationsApplied_; }
     /** A molecule of this cluster was permanently fenced off. */
     void noteDecommission() { ++decommissions_; }
-    /** A grant fell @p missing molecules short: the cluster's free pool
-     * is exhausted (QoS-guardian pressure accounting). */
-    void noteGrantShortfall(u32 missing)
-    {
-        ++grantShortfalls_;
-        grantShortfallMolecules_ += missing;
-    }
 
     u64 tileMisses() const { return tileMisses_; }
     u64 remoteProbes() const { return remoteProbes_; }
@@ -60,8 +53,6 @@ class Ulmo
     u64 donations() const { return donations_; }
     u64 invalidationsApplied() const { return invalidationsApplied_; }
     u64 decommissions() const { return decommissions_; }
-    u64 grantShortfalls() const { return grantShortfalls_; }
-    u64 grantShortfallMolecules() const { return grantShortfallMolecules_; }
     /** @} */
 
   private:
@@ -75,8 +66,6 @@ class Ulmo
     u64 donations_ = 0;
     u64 invalidationsApplied_ = 0;
     u64 decommissions_ = 0;
-    u64 grantShortfalls_ = 0;
-    u64 grantShortfallMolecules_ = 0;
 };
 
 } // namespace molcache

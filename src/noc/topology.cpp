@@ -1,46 +1,14 @@
 #include "noc/topology.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/logging.hpp"
 
 namespace molcache {
 
-NocTopology
-parseNocTopology(const std::string &text)
-{
-    if (text == "crossbar")
-        return NocTopology::Crossbar;
-    if (text == "ring")
-        return NocTopology::Ring;
-    if (text == "mesh")
-        return NocTopology::Mesh;
-    fatal("unknown NoC topology '", text,
-          "' (expected crossbar|ring|mesh)");
-}
-
-std::string
-nocTopologyName(NocTopology t)
-{
-    switch (t) {
-      case NocTopology::Crossbar:
-        return "crossbar";
-      case NocTopology::Ring:
-        return "ring";
-      case NocTopology::Mesh:
-        return "mesh";
-    }
-    panic("unknown NocTopology");
-}
-
-NocModel::NocModel(u32 clusters, const NocParams &params)
-    : clusters_(clusters), params_(params)
+NocModel::NocModel(u32 clusters) : clusters_(clusters)
 {
     MOLCACHE_ASSERT(clusters >= 1, "NoC needs at least one cluster");
-    // Near-square mesh layout: width = ceil(sqrt(n)).
-    meshWidth_ = static_cast<u32>(
-        std::ceil(std::sqrt(static_cast<double>(clusters))));
 }
 
 u32
@@ -48,23 +16,8 @@ NocModel::hopCount(u32 from, u32 to) const
 {
     MOLCACHE_ASSERT(from < clusters_ && to < clusters_,
                     "NoC endpoint out of range");
-    if (from == to)
-        return 0;
-    switch (params_.topology) {
-      case NocTopology::Crossbar:
-        return 1;
-      case NocTopology::Ring: {
-        const u32 d = from > to ? from - to : to - from;
-        return std::min(d, clusters_ - d);
-      }
-      case NocTopology::Mesh: {
-        const u32 fx = from % meshWidth_, fy = from / meshWidth_;
-        const u32 tx = to % meshWidth_, ty = to / meshWidth_;
-        return (fx > tx ? fx - tx : tx - fx) +
-               (fy > ty ? fy - ty : ty - fy);
-      }
-    }
-    panic("unknown NocTopology");
+    const u32 d = from > to ? from - to : to - from;
+    return std::min(d, clusters_ - d);
 }
 
 u32
@@ -80,13 +33,13 @@ NocModel::diameter() const
 u32
 NocModel::latencyCycles(u32 from, u32 to) const
 {
-    return hopCount(from, to) * params_.cyclesPerHop;
+    return hopCount(from, to) * kNocCyclesPerHop;
 }
 
 double
 NocModel::messageEnergyNj(u32 from, u32 to) const
 {
-    return hopCount(from, to) * params_.energyPerHopNj;
+    return hopCount(from, to) * kNocEnergyPerHopNj;
 }
 
 u32
@@ -95,9 +48,9 @@ NocModel::sendMessage(u32 from, u32 to)
     const u32 hops = hopCount(from, to);
     ++stats_.messages;
     stats_.hops += hops;
-    stats_.cycles += hops * params_.cyclesPerHop;
-    stats_.energyNj += hops * params_.energyPerHopNj;
-    return hops * params_.cyclesPerHop;
+    stats_.cycles += hops * kNocCyclesPerHop;
+    stats_.energyNj += hops * kNocEnergyPerHopNj;
+    return hops * kNocCyclesPerHop;
 }
 
 } // namespace molcache

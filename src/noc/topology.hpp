@@ -5,7 +5,7 @@
  * The paper connects tile clusters "through an interconnection network
  * to enable coherence transactions", deliberately drawn as a cloud ("no
  * assumption made on the topology").  molcache makes the cloud concrete
- * enough to cost coherence traffic: a topology gives hop counts between
+ * enough to cost coherence traffic: a ring gives hop counts between
  * clusters, and per-hop latency/energy constants turn a message into
  * cycles and nanojoules.  The model is used by the coherence path
  * (invalidations, downgrades) — the paper's workloads share nothing, so
@@ -16,34 +16,15 @@
 #ifndef MOLCACHE_NOC_TOPOLOGY_HPP
 #define MOLCACHE_NOC_TOPOLOGY_HPP
 
-#include <string>
-
 #include "util/types.hpp"
 
 namespace molcache {
 
-/** Interconnect shape between tile clusters. */
-enum class NocTopology
-{
-    /** Single shared switch: every pair is one hop. */
-    Crossbar,
-    /** Bidirectional ring: shortest way around. */
-    Ring,
-    /** 2D mesh (near-square layout), XY routing. */
-    Mesh,
-};
-
-NocTopology parseNocTopology(const std::string &text);
-std::string nocTopologyName(NocTopology t);
-
-/** Cost constants for one router-to-router hop. */
-struct NocParams
-{
-    NocTopology topology = NocTopology::Ring;
-    u32 cyclesPerHop = 2;
-    /** Energy per hop per message, nJ (link + router). */
-    double energyPerHopNj = 0.15;
-};
+/** @{ Cost of one router-to-router hop. */
+inline constexpr u32 kNocCyclesPerHop = 2;
+/** Energy per hop per message, nJ (link + router). */
+inline constexpr double kNocEnergyPerHopNj = 0.15;
+/** @} */
 
 /** Message statistics accumulated by a NocModel. */
 struct NocStats
@@ -54,20 +35,17 @@ struct NocStats
     double energyNj = 0.0;
 };
 
+/** Bidirectional ring of tile clusters: a message takes the shorter
+ * way around. */
 class NocModel
 {
   public:
-    /**
-     * @param clusters number of endpoints (>= 1)
-     * @param params   topology and hop costs
-     */
-    NocModel(u32 clusters, const NocParams &params);
+    /** @param clusters number of endpoints (>= 1) */
+    explicit NocModel(u32 clusters);
 
     u32 clusters() const { return clusters_; }
-    const NocParams &params() const { return params_; }
 
-    /** Hops between two clusters under the configured topology
-     * (0 for self-messages). */
+    /** Hops between two clusters (0 for self-messages). */
     u32 hopCount(u32 from, u32 to) const;
 
     /** Worst-case hops between any pair (the network diameter). */
@@ -86,11 +64,7 @@ class NocModel
     void resetStats() { stats_ = NocStats{}; }
 
   private:
-    u32 meshWidth() const { return meshWidth_; }
-
     u32 clusters_;
-    NocParams params_;
-    u32 meshWidth_;
     NocStats stats_;
 };
 

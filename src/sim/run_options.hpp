@@ -56,13 +56,6 @@ struct RunOptions
     /** Interleaving discipline for multi-application workloads. */
     MixPolicy mix = MixPolicy::RoundRobin;
 
-    /**
-     * Accesses pulled from the source per AccessSource::nextBatch call.
-     * Batching amortizes the per-reference virtual dispatch; results are
-     * identical for any value >= 1.
-     */
-    u32 batchSize = 1024;
-
     /** Optional progress callback (every 2^20 accesses). */
     ProgressFn progress;
 
@@ -90,16 +83,6 @@ struct RunOptions
     RunOptions &withReferences(u64 refs)
     {
         totalReferences = refs;
-        return *this;
-    }
-    RunOptions &withMix(MixPolicy policy)
-    {
-        mix = policy;
-        return *this;
-    }
-    RunOptions &withBatchSize(u32 n)
-    {
-        batchSize = n;
         return *this;
     }
     RunOptions &withProgress(ProgressFn fn)

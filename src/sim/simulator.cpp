@@ -16,6 +16,13 @@ constexpr u64 kProgressStride = u64{1} << 20;
 
 constexpr u64 kNever = ~u64{0};
 
+/**
+ * Accesses pulled from the source per AccessSource::nextBatch call.
+ * Batching amortizes the per-reference virtual dispatch; results are
+ * identical for any value >= 1.
+ */
+constexpr size_t kBatch = 1024;
+
 } // namespace
 
 SimResult
@@ -31,9 +38,8 @@ Simulator::run(AccessSource &source, CacheModel &model,
     // virtual dispatch on the source is amortized, and the progress /
     // warmup checks compare against precomputed ticks instead of testing
     // the std::function and warmup count on every access.
-    const u32 batch = std::max<u32>(1, options.batchSize);
-    std::vector<MemAccess> buffer(batch);
-    std::vector<AccessResult> results(batch);
+    std::vector<MemAccess> buffer(kBatch);
+    std::vector<AccessResult> results(kBatch);
     const u64 warmup_tick = options.warmup == 0 ? kNever : options.warmup;
     u64 progress_tick = options.progress ? kProgressStride : kNever;
 
@@ -46,7 +52,7 @@ Simulator::run(AccessSource &source, CacheModel &model,
     std::vector<PhaseHint> hints(hint_sink != nullptr ? 64 : 0);
 
     for (;;) {
-        const size_t n = source.nextBatch(buffer.data(), batch);
+        const size_t n = source.nextBatch(buffer.data(), kBatch);
         if (n == 0)
             break;
         // Deliver hints ahead of the references they were emitted with,

@@ -74,10 +74,10 @@ class Simulator
     using Progress = ProgressFn;
 
     /**
-     * Drain @p source through @p model.  Reads goals, labels, warmup,
-     * batchSize and progress from @p options (totalReferences and mix
-     * belong to the workload-building helpers and are ignored here: the
-     * source is already bounded).
+     * Drain @p source through @p model.  Reads goals, labels, warmup
+     * and progress from @p options (totalReferences and mix belong to
+     * the workload-building helpers and are ignored here: the source is
+     * already bounded).
      */
     static SimResult run(AccessSource &source, CacheModel &model,
                          const RunOptions &options = {});

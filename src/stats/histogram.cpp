@@ -1,70 +1,10 @@
 #include "stats/histogram.hpp"
 
-#include <algorithm>
 #include <sstream>
 
 #include "util/bits.hpp"
-#include "util/logging.hpp"
 
 namespace molcache {
-
-LinearHistogram::LinearHistogram(double lo, double hi, u32 buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0)
-{
-    MOLCACHE_ASSERT(hi > lo && buckets > 0, "degenerate histogram");
-}
-
-void
-LinearHistogram::add(double x, u64 weight)
-{
-    const double span = hi_ - lo_;
-    double rel = (x - lo_) / span;
-    rel = std::clamp(rel, 0.0, 1.0);
-    u32 idx = static_cast<u32>(rel * counts_.size());
-    if (idx >= counts_.size())
-        idx = static_cast<u32>(counts_.size()) - 1;
-    counts_[idx] += weight;
-    total_ += weight;
-}
-
-double
-LinearHistogram::bucketLow(u32 i) const
-{
-    return lo_ + (hi_ - lo_) * i / counts_.size();
-}
-
-double
-LinearHistogram::quantile(double q) const
-{
-    if (total_ == 0)
-        return lo_;
-    q = std::clamp(q, 0.0, 1.0);
-    const double target = q * static_cast<double>(total_);
-    double seen = 0;
-    for (u32 i = 0; i < counts_.size(); ++i) {
-        seen += static_cast<double>(counts_[i]);
-        if (seen >= target) {
-            const double width = (hi_ - lo_) / counts_.size();
-            return bucketLow(i) + width / 2;
-        }
-    }
-    return hi_;
-}
-
-std::string
-LinearHistogram::toString() const
-{
-    std::ostringstream os;
-    for (u32 i = 0; i < counts_.size(); ++i) {
-        if (counts_[i] == 0)
-            continue;
-        os << "[" << bucketLow(i) << "," << bucketLow(i + 1 == counts_.size()
-                                                          ? i
-                                                          : i + 1)
-           << ") " << counts_[i] << "\n";
-    }
-    return os.str();
-}
 
 Log2Histogram::Log2Histogram(u32 maxLog2)
     : counts_(maxLog2 + 1, 0)

@@ -1,6 +1,6 @@
 /**
  * @file
- * Linear and log2-bucketed histograms for distribution reporting.
+ * Log2-bucketed histogram for distribution reporting.
  */
 
 #ifndef MOLCACHE_STATS_HISTOGRAM_HPP
@@ -12,31 +12,6 @@
 #include "util/types.hpp"
 
 namespace molcache {
-
-/** Fixed-width linear histogram over [lo, hi); out-of-range clamps. */
-class LinearHistogram
-{
-  public:
-    LinearHistogram(double lo, double hi, u32 buckets);
-
-    void add(double x, u64 weight = 1);
-
-    u32 buckets() const { return static_cast<u32>(counts_.size()); }
-    u64 bucketCount(u32 i) const { return counts_.at(i); }
-    double bucketLow(u32 i) const;
-    u64 total() const { return total_; }
-
-    /** Approximate p-quantile (0..1) from bucket midpoints. */
-    double quantile(double q) const;
-
-    std::string toString() const;
-
-  private:
-    double lo_;
-    double hi_;
-    std::vector<u64> counts_;
-    u64 total_ = 0;
-};
 
 /** Power-of-two bucketed histogram for values like reuse distances. */
 class Log2Histogram

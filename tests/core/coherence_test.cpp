@@ -6,6 +6,7 @@
 #include <bit>
 #include <unordered_map>
 
+#include "contract/contract.hpp"
 #include "util/random.hpp"
 
 namespace molcache {
@@ -268,10 +269,16 @@ TEST(Coherence, RandomOpsMatchMapReference)
         expectSameLine(dir, ref, lineOf(k), kClusters);
 }
 
+// These deaths come from contracts, which a pure Release build
+// compiles out (Contract.CompiledOutChecksDoNotEvaluate pins that).
+#if MOLCACHE_CONTRACTS_ACTIVE
+
 TEST(CoherenceDeath, TooManyClusters)
 {
     EXPECT_DEATH(CoherenceDirectory dir(33), "1..32");
 }
+
+#endif // MOLCACHE_CONTRACTS_ACTIVE
 
 } // namespace
 } // namespace molcache

@@ -66,7 +66,7 @@ void
 runChurn(PlacementPolicy policy, u64 seed)
 {
     Region region(Asid{1}, policy, /*lineMultiple=*/1, TileId{0},
-                  ClusterId{0}, 8_KiB, /*initialRowMax=*/4);
+                  ClusterId{0}, 8_KiB, /*initialRows=*/4);
     Pcg32 rng(seed);
 
     std::vector<MoleculeId> owned;

@@ -5,17 +5,18 @@
 #include <map>
 #include <set>
 
+#include "contract/contract.hpp"
 #include "util/units.hpp"
 
 namespace molcache {
 namespace {
 
 Region
-randyRegion(u32 initialRowMax = 4)
+randyRegion(u32 initialRows = 4)
 {
     return Region(Asid{1}, PlacementPolicy::Randy, /*lineMultiple=*/1,
                   TileId{0}, ClusterId{0},
-                  /*moleculeSize=*/8_KiB, initialRowMax);
+                  /*moleculeSize=*/8_KiB, initialRows);
 }
 
 Region
@@ -31,7 +32,7 @@ TEST(Region, InitialRowLayout)
     for (u32 m = 0; m < 8; ++m)
         r.addMolecule(MoleculeId{m}, TileId{0}, /*initial=*/true);
     EXPECT_EQ(r.size(), 8u);
-    EXPECT_EQ(r.rowMax(), 4u); // capped at initialRowMax
+    EXPECT_EQ(r.rowMax(), 4u); // capped at initialRows
     for (const auto &row : r.rows())
         EXPECT_EQ(row.size(), 2u); // dealt round-robin
 }
@@ -164,6 +165,10 @@ TEST(Region, IntervalCounters)
     EXPECT_EQ(r.hits(), 1u);
 }
 
+// These deaths come from contracts, which a pure Release build
+// compiles out (Contract.CompiledOutChecksDoNotEvaluate pins that).
+#if MOLCACHE_CONTRACTS_ACTIVE
+
 TEST(RegionDeath, DoubleAdd)
 {
     Region r = randomRegion();
@@ -184,6 +189,8 @@ TEST(RegionDeath, FillIntoEmptyRegion)
     Pcg32 rng(1);
     EXPECT_DEATH(r.chooseFillMolecule(0, rng), "empty region");
 }
+
+#endif // MOLCACHE_CONTRACTS_ACTIVE
 
 /** Property: Randy fill choices always come from the address's row. */
 class RandyRowProperty : public ::testing::TestWithParam<u32>

@@ -148,16 +148,22 @@ TEST(Resizer, HoldsWhenNotImproving)
     EXPECT_EQ(r.size(), 4u);
 }
 
-TEST(Resizer, GrowWhenNotImprovingFlag)
+TEST(Resizer, GrowNeedsFivePercentImprovement)
 {
-    MolecularCacheParams p = params();
-    p.growWhenNotImproving = true;
-    const Resizer resizer(p);
+    const Resizer resizer(params());
     FakeBroker broker;
-    Region r = makeRegion(4);
-    primeRegion(r, resizer, broker, 0.30);
-    feedInterval(r, 1000, 300, 300);
-    EXPECT_GT(resizer.resizeRegion(r, 0.1, broker).delta, 0);
+    // 0.29 is ~3 % better than 0.30: inside the 5 % noise margin, hold.
+    Region held = makeRegion(4);
+    primeRegion(held, resizer, broker, 0.30);
+    feedInterval(held, 1000, 290, 290);
+    EXPECT_EQ(resizer.resizeRegion(held, 0.1, broker).delta, 0);
+    EXPECT_EQ(held.size(), 4u);
+    // 0.28 is ~7 % better: past the margin, grow.
+    Region grown = makeRegion(4);
+    primeRegion(grown, resizer, broker, 0.30);
+    feedInterval(grown, 1000, 280, 280);
+    EXPECT_GT(resizer.resizeRegion(grown, 0.1, broker).delta, 0);
+    EXPECT_GT(grown.size(), 4u);
 }
 
 TEST(Resizer, WithdrawsWhenUnderGoal)
@@ -198,6 +204,28 @@ TEST(Resizer, ThrashNeedsTwoConsecutiveIntervals)
     feedInterval(r, 1000, 700, 700);
     const RegionResize out = resizer.resizeRegion(r, 0.1, broker);
     EXPECT_LT(out.delta, 0);
+    EXPECT_EQ(r.size(), r.maxAllocation);
+}
+
+TEST(Resizer, ThrashThresholdIsStrict)
+{
+    const Resizer resizer(params());
+    FakeBroker broker;
+    Region r = makeRegion(32);
+    primeRegion(r, resizer, broker, 0.30);
+    // A replacement rate of exactly 0.5 is not thrashing.
+    for (int i = 0; i < 2; ++i) {
+        feedInterval(r, 1000, 500, 500);
+        resizer.resizeRegion(r, 0.1, broker);
+        EXPECT_EQ(r.thrashStreak, 0u);
+    }
+    EXPECT_EQ(r.size(), 32u);
+    // Just above it, two intervals cap the region.
+    feedInterval(r, 1000, 600, 600);
+    resizer.resizeRegion(r, 0.1, broker);
+    EXPECT_EQ(r.thrashStreak, 1u);
+    feedInterval(r, 1000, 600, 600);
+    resizer.resizeRegion(r, 0.1, broker);
     EXPECT_EQ(r.size(), r.maxAllocation);
 }
 

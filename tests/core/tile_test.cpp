@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "contract/contract.hpp"
+
 namespace molcache {
 namespace {
 
@@ -117,6 +119,10 @@ TEST(Tile, PortAccounting)
     EXPECT_EQ(t.portAccesses(), 2u);
 }
 
+// These deaths come from contracts, which a pure Release build
+// compiles out (Contract.CompiledOutChecksDoNotEvaluate pins that).
+#if MOLCACHE_CONTRACTS_ACTIVE
+
 TEST(TileDeath, ForeignMolecule)
 {
     Tile t = makeTile();
@@ -130,6 +136,8 @@ TEST(TileDeath, DoubleRelease)
     t.release(id);
     EXPECT_DEATH(t.release(id), "already-free");
 }
+
+#endif // MOLCACHE_CONTRACTS_ACTIVE
 
 } // namespace
 } // namespace molcache

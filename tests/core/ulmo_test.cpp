@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "contract/contract.hpp"
+
 namespace molcache {
 namespace {
 
@@ -48,11 +50,17 @@ TEST(Ulmo, StatCounters)
     EXPECT_EQ(ulmo.invalidationsApplied(), 1u);
 }
 
+// These deaths come from contracts, which a pure Release build
+// compiles out (Contract.CompiledOutChecksDoNotEvaluate pins that).
+#if MOLCACHE_CONTRACTS_ACTIVE
+
 TEST(UlmoDeath, NoTiles)
 {
     CoherenceDirectory dir(1);
     EXPECT_DEATH(Ulmo(ClusterId{0}, {}, dir), "no tiles");
 }
+
+#endif // MOLCACHE_CONTRACTS_ACTIVE
 
 } // namespace
 } // namespace molcache

@@ -5,45 +5,6 @@
 namespace molcache {
 namespace {
 
-TEST(LinearHistogram, BucketPlacement)
-{
-    LinearHistogram h(0.0, 10.0, 10);
-    h.add(0.5);
-    h.add(5.5);
-    h.add(9.99);
-    EXPECT_EQ(h.bucketCount(0), 1u);
-    EXPECT_EQ(h.bucketCount(5), 1u);
-    EXPECT_EQ(h.bucketCount(9), 1u);
-    EXPECT_EQ(h.total(), 3u);
-}
-
-TEST(LinearHistogram, OutOfRangeClamps)
-{
-    LinearHistogram h(0.0, 10.0, 10);
-    h.add(-5.0);
-    h.add(15.0);
-    EXPECT_EQ(h.bucketCount(0), 1u);
-    EXPECT_EQ(h.bucketCount(9), 1u);
-}
-
-TEST(LinearHistogram, WeightedAdd)
-{
-    LinearHistogram h(0.0, 1.0, 2);
-    h.add(0.25, 10);
-    EXPECT_EQ(h.bucketCount(0), 10u);
-    EXPECT_EQ(h.total(), 10u);
-}
-
-TEST(LinearHistogram, Quantile)
-{
-    LinearHistogram h(0.0, 100.0, 100);
-    for (int i = 0; i < 100; ++i)
-        h.add(i + 0.5);
-    EXPECT_NEAR(h.quantile(0.5), 50.0, 2.0);
-    EXPECT_NEAR(h.quantile(0.9), 90.0, 2.0);
-    EXPECT_NEAR(h.quantile(0.0), 0.5, 1.0);
-}
-
 TEST(Log2Histogram, Buckets)
 {
     Log2Histogram h(10);
@@ -63,15 +24,6 @@ TEST(Log2Histogram, OverflowClampsToLast)
     Log2Histogram h(4);
     h.add(1ull << 40);
     EXPECT_EQ(h.bucketCount(h.buckets() - 1), 1u);
-}
-
-TEST(LinearHistogram, ToStringSkipsEmpty)
-{
-    LinearHistogram h(0.0, 10.0, 10);
-    h.add(1.5);
-    const std::string s = h.toString();
-    EXPECT_NE(s.find("1"), std::string::npos);
-    EXPECT_EQ(s.find("\n\n"), std::string::npos);
 }
 
 } // namespace

@@ -3,7 +3,7 @@
  * Predictive-apportioning drill: the adversarial mix run three times on
  * the same geometry and the same merged reference stream —
  *
- *  - reactive:    guardian on, predictive mode off (the PR-5 baseline);
+ *  - reactive:    guardian on, predictive mode off (the reactive baseline);
  *  - predictive:  predictive mode on with *honest* hints from the two
  *                 phase-structured tenants (phaseflip, bursty); hog and
  *                 steady stay silent (mixed hinted/unhinted population);
@@ -137,7 +137,7 @@ runDrill(const DrillConfig &cfg, DrillMode mode)
     p.seed = cfg.seed;
     p.guardian.enabled = true;
     p.guardian.floorMolecules = cfg.floor;
-    p.guardian.predictive.enabled = mode != DrillMode::Reactive;
+    p.guardian.predictive = mode != DrillMode::Reactive;
 
     const GoalSet goals = drillGoals(cfg);
     MolecularCache cache(p);

@@ -119,41 +119,10 @@ buildModel(const Config &cfg, const GoalSet &goals, size_t apps, u64 refs)
         p.hardFaultThreshold =
             static_cast<u32>(cfg.getInt("hard_fault_threshold", 1));
         p.guardian.enabled = cfg.getBool("guardian.enabled", false);
-        p.guardian.hysteresis =
-            cfg.getDouble("guardian.hysteresis", p.guardian.hysteresis);
-        p.guardian.cooldownEpochs = static_cast<u32>(cfg.getInt(
-            "guardian.cooldown", p.guardian.cooldownEpochs));
-        p.guardian.oscillationWindow = static_cast<u32>(cfg.getInt(
-            "guardian.window", p.guardian.oscillationWindow));
-        p.guardian.maxSignFlips = static_cast<u32>(cfg.getInt(
-            "guardian.max_flips", p.guardian.maxSignFlips));
         p.guardian.floorMolecules = static_cast<u32>(cfg.getInt(
             "guardian.floor", p.guardian.floorMolecules));
-        p.guardian.watchdogEpochs = static_cast<u32>(cfg.getInt(
-            "guardian.watchdog", p.guardian.watchdogEpochs));
-        p.guardian.feasibilityEpochs = static_cast<u32>(cfg.getInt(
-            "guardian.feasibility_epochs", p.guardian.feasibilityEpochs));
-        p.guardian.pressureThreshold = cfg.getDouble(
-            "guardian.pressure", p.guardian.pressureThreshold);
-        PredictiveGuardianParams &pred = p.guardian.predictive;
-        pred.enabled =
-            cfg.getBool("guardian.predictive.enabled", pred.enabled);
-        pred.minConfidence = cfg.getDouble(
-            "guardian.predictive.min_confidence", pred.minConfidence);
-        pred.maxActionMolecules = static_cast<u32>(cfg.getInt(
-            "guardian.predictive.max_action", pred.maxActionMolecules));
-        pred.initialTrust = cfg.getDouble(
-            "guardian.predictive.initial_trust", pred.initialTrust);
-        pred.actAbove =
-            cfg.getDouble("guardian.predictive.act_above", pred.actAbove);
-        pred.trustWeight = cfg.getDouble(
-            "guardian.predictive.trust_weight", pred.trustWeight);
-        pred.quarantineBelow = cfg.getDouble(
-            "guardian.predictive.quarantine_below", pred.quarantineBelow);
-        pred.restoreAbove = cfg.getDouble(
-            "guardian.predictive.restore_above", pred.restoreAbove);
-        pred.probationEpochs = static_cast<u32>(cfg.getInt(
-            "guardian.predictive.probation", pred.probationEpochs));
+        p.guardian.predictive =
+            cfg.getBool("guardian.predictive.enabled", p.guardian.predictive);
         auto cache = std::make_unique<MolecularCache>(p);
         for (size_t i = 0; i < apps; ++i)
             cache->registerApplication(Asid{static_cast<u16>(i)},

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 
 #include "contract/contract.hpp"
 #include "core/resizer.hpp"
@@ -23,15 +21,6 @@ constexpr double kMaxPeriodScale = 16.0;
 constexpr double kFeasibilityKeep = 0.7;
 constexpr double kPressureKeep = 0.8;
 
-bool
-traceHints()
-{
-    // NOLINTNEXTLINE(concurrency-mt-unsafe): read exactly once under the
-    // magic-static lock, before any worker threads exist; nothing setenvs.
-    static const bool on = std::getenv("MOLCACHE_TRACE_HINTS") != nullptr;
-    return on;
-}
-
 } // namespace
 
 const char *
@@ -49,7 +38,7 @@ feasibilityVerdictName(FeasibilityVerdict v)
 }
 
 QosGuardian::QosGuardian(const MolecularCacheParams &params)
-    : params_(params.guardian),
+    : predictive_(params.guardian.predictive),
       // Degenerate geometries must not poison the feasibility division
       // or the fair-share quotient; one molecule is the honest minimum.
       clusterCapacity_(std::max<u32>(
@@ -59,7 +48,7 @@ QosGuardian::QosGuardian(const MolecularCacheParams &params)
       minResizePeriod_(params.minResizePeriod),
       maxResizePeriod_(params.maxResizePeriod)
 {
-    MOLCACHE_EXPECT(params_.enabled,
+    MOLCACHE_EXPECT(params.guardian.enabled,
                     "guardian constructed while disabled in params");
 }
 
@@ -71,11 +60,8 @@ QosGuardian::stateFor(Asid asid)
     RegState &s = states_[asid.value()];
     if (!s.active) {
         s.active = true;
-        // A zero-width observation window would make the sign-window
-        // index and the countSignFlips modulus undefined on the very
-        // first decision; clamp to one slot (detector effectively off).
-        s.window.assign(std::max<u32>(1, params_.oscillationWindow), 0);
-        s.trust = params_.predictive.initialTrust;
+        s.window.assign(kGuardianOscillationWindow, 0);
+        s.trust = kHintInitialTrust;
     }
     return s;
 }
@@ -131,7 +117,7 @@ QosGuardian::gateHold(const Region &region, double missRate, double goal,
     }
 
     // Hysteresis dead-band, widened while the region has been noisy.
-    const double band = params_.hysteresis * s.bandScale;
+    const double band = kGuardianHysteresis * s.bandScale;
     const double lo = eff * (1.0 - band);
     const double hi = eff * (1.0 + band);
     if (missRate >= lo && missRate <= hi) {
@@ -143,19 +129,19 @@ QosGuardian::gateHold(const Region &region, double missRate, double goal,
     const bool wants_shrink = missRate < lo;
     const bool wants_grow = missRate > hi;
     if (wants_shrink && s.lastSign > 0 &&
-        s.epochsSinceAction < params_.cooldownEpochs) {
+        s.epochsSinceAction < kGuardianCooldownEpochs) {
         ++s.holdEpochs;
         return true;
     }
     if (wants_grow && s.lastSign < 0 &&
-        s.epochsSinceAction < params_.cooldownEpochs) {
+        s.epochsSinceAction < kGuardianCooldownEpochs) {
         ++s.holdEpochs;
         return true;
     }
 
     // Starvation guard: while the pool is under pressure, a region at
     // or past its fair share of the cluster must not inflate further.
-    if (wants_grow && pressure_ > params_.pressureThreshold) {
+    if (wants_grow && pressure_ > kGuardianPressureThreshold) {
         const u32 share = clusterCapacity_ / std::max<u32>(1,
                                                            activeRegions());
         if (region.size() >= share) {
@@ -240,20 +226,20 @@ QosGuardian::afterDecision(const Region &region, i32 delta, double missRate,
 
     const u32 flips = countSignFlips(s);
     s.maxSignFlips = std::max(s.maxSignFlips, flips);
-    if (flips >= params_.maxSignFlips) {
+    if (flips >= kGuardianMaxSignFlips) {
         // The region is fighting the controller: widen the dead-band,
         // slow the control loop down and pause decisions outright; the
         // window restarts so one burst counts as one event.
         ++s.oscillationEvents;
         s.bandScale = std::min(s.bandScale * 2.0, kMaxBandScale);
         s.periodScale = std::min(s.periodScale * 2.0, kMaxPeriodScale);
-        s.cooldownLeft = params_.cooldownEpochs;
+        s.cooldownLeft = kGuardianCooldownEpochs;
         std::fill(s.window.begin(), s.window.end(), i8{0});
         s.windowFill = 0;
         s.calmEpochs = 0;
     } else if (s.bandScale > 1.0 || s.periodScale > 1.0) {
         // Earn responsiveness back: one quiet window halves the backoff.
-        if (++s.calmEpochs >= params_.oscillationWindow) {
+        if (++s.calmEpochs >= kGuardianOscillationWindow) {
             s.bandScale = std::max(1.0, s.bandScale / 2.0);
             s.periodScale = std::max(1.0, s.periodScale / 2.0);
             s.calmEpochs = 0;
@@ -264,7 +250,7 @@ QosGuardian::afterDecision(const Region &region, i32 delta, double missRate,
     // missRate ~= k / size => the best the region can do at cluster
     // capacity is k / clusterCapacity.  A goal below that is hopeless no
     // matter how many molecules Algorithm 1 churns through.
-    const double hi = goal * (1.0 + params_.hysteresis);
+    const double hi = goal * (1.0 + kGuardianHysteresis);
     if (region.size() > 0) {
         const double k = missRate * static_cast<double>(region.size());
         s.kEwma = s.hasK ? kFeasibilityKeep * s.kEwma +
@@ -280,7 +266,7 @@ QosGuardian::afterDecision(const Region &region, i32 delta, double missRate,
         s.degradedGoal = 0.0;
         s.shortfall = 0.0;
     } else if (s.hasK && predicted > hi) {
-        if (++s.infeasibleStreak >= params_.feasibilityEpochs) {
+        if (++s.infeasibleStreak >= kGuardianFeasibilityEpochs) {
             s.verdict = FeasibilityVerdict::Infeasible;
             s.degradedGoal = std::min(1.0, std::max(goal, predicted));
             s.shortfall = s.degradedGoal - goal;
@@ -335,7 +321,7 @@ void
 QosGuardian::scoreHint(RegState &s, double missRate, double goal)
 {
     s.hintArmed = false;
-    const double hi = goal * (1.0 + params_.hysteresis);
+    const double hi = goal * (1.0 + kGuardianHysteresis);
     const double base = s.hintBaselineKnown ? s.hintMissBaseline : goal;
     bool truthful;
     if (s.hintDirection > 0) {
@@ -350,22 +336,14 @@ QosGuardian::scoreHint(RegState &s, double missRate, double goal)
         // Promised steady state: staying inside the band is honest.
         truthful = missRate <= hi;
     }
-    const double w = params_.predictive.trustWeight *
-                     std::clamp(s.hintConfidence, 0.0, 1.0);
+    const double w = kHintTrustWeight * std::clamp(s.hintConfidence, 0.0, 1.0);
     s.trust = (1.0 - w) * s.trust + w * (truthful ? 1.0 : 0.0);
-    if (traceHints())
-        std::fprintf(stderr,
-                     "hint score dir=%d miss=%.3f base=%.3f hi=%.3f "
-                     "truthful=%d trust=%.3f\n",
-                     static_cast<int>(s.hintDirection), missRate, base,
-                     hi, truthful ? 1 : 0, s.trust);
-    if (!s.quarantined && s.trust < params_.predictive.quarantineBelow) {
+    if (!s.quarantined && s.trust < kHintQuarantineBelow) {
         s.quarantined = true;
         ++s.quarantineEvents;
         s.quarantineEpochs = 0;
-    } else if (s.quarantined &&
-               s.trust > params_.predictive.restoreAbove &&
-               s.quarantineEpochs >= params_.predictive.probationEpochs) {
+    } else if (s.quarantined && s.trust > kHintRestoreAbove &&
+               s.quarantineEpochs >= kHintProbationEpochs) {
         // Probation served and trust re-earned (hysteresis gap above
         // the quarantine threshold): back to predictive service.
         s.quarantined = false;
@@ -377,7 +355,7 @@ QosGuardian::rollQosWindow(RegState &s, double goal)
 {
     // The base hysteresis band, never the oscillation-widened one: the
     // metric must not soften because the control loop got noisy.
-    const double hi = goal * (1.0 + params_.hysteresis);
+    const double hi = goal * (1.0 + kGuardianHysteresis);
     const double missRate =
         static_cast<double>(s.qosWindowMisses) /
         static_cast<double>(s.qosWindowAccesses);
@@ -415,13 +393,13 @@ QosGuardian::finalizeHint(RegState &s, double goal)
 bool
 QosGuardian::acceptHint(const PhaseHint &hint, const Region &region)
 {
-    if (!params_.predictive.enabled)
+    if (!predictive_)
         return false;
     RegState &s = stateFor(region.asid());
     ++s.hintsSeen;
     finalizeHint(s, region.resizeGoal);
     const double conf = std::clamp(hint.confidence, 0.0, 1.0);
-    if (conf < params_.predictive.minConfidence) {
+    if (conf < kHintMinConfidence) {
         ++s.hintsRejected;
         return false;
     }
@@ -444,16 +422,7 @@ QosGuardian::acceptHint(const PhaseHint &hint, const Region &region)
     s.hintPostMisses = 0.0;
     s.hintPostAccesses = 0;
     s.hintPostIntervals = 0;
-    if (traceHints())
-        std::fprintf(stderr,
-                     "hint accept asid=%u now=%llu due=%llu target=%u "
-                     "size=%u dir=%d base=%.3f conf=%.2f quar=%d\n",
-                     region.asid().value(),
-                     static_cast<unsigned long long>(region.accesses()),
-                     static_cast<unsigned long long>(s.hintDue), target,
-                     size, static_cast<int>(s.hintDirection),
-                     s.hintMissBaseline, conf, s.quarantined ? 1 : 0);
-    if (s.quarantined || s.trust < params_.predictive.actAbove) {
+    if (s.quarantined || s.trust < kHintActAbove) {
         // Quarantined and not-yet-proven tenants keep getting scored
         // (the probation / trust-earning path) but their hints buy no
         // capacity movement — and no schedule movement either: pulling
@@ -468,11 +437,11 @@ QosGuardian::acceptHint(const PhaseHint &hint, const Region &region)
 i32
 QosGuardian::predictiveStep(Region &region, MoleculeBroker &broker)
 {
-    if (!params_.predictive.enabled)
+    if (!predictive_)
         return 0;
     RegState &s = stateFor(region.asid());
     if (!s.hintArmed || s.hintActed || s.quarantined ||
-        s.trust < params_.predictive.actAbove)
+        s.trust < kHintActAbove)
         return 0;
     // Oscillation pause: a thrashing control loop does not get to pile
     // predictive actions on top of the backoff.
@@ -509,11 +478,10 @@ QosGuardian::predictiveStep(Region &region, MoleculeBroker &broker)
     s.hintActed = true;
     i32 delta = 0;
     if (grows) {
-        u32 want = std::min(target - size,
-                            params_.predictive.maxActionMolecules);
+        u32 want = std::min(target - size, kHintMaxActionMolecules);
         // Fair-share guard, mirroring gateHold's starvation clause: a
         // pressured pool never pre-funds a region past its share.
-        if (pressure_ > params_.pressureThreshold) {
+        if (pressure_ > kGuardianPressureThreshold) {
             const u32 share =
                 clusterCapacity_ / std::max<u32>(1, activeRegions());
             if (size >= share) {
@@ -525,26 +493,17 @@ QosGuardian::predictiveStep(Region &region, MoleculeBroker &broker)
         const u32 got = broker.grant(region, want);
         s.preGrantMolecules += got;
         delta = static_cast<i32>(got);
-    } else if (target < size && pressure_ > params_.pressureThreshold) {
+    } else if (target < size && pressure_ > kGuardianPressureThreshold) {
         // Pre-withdraw frees capacity only when someone is actually
         // starving for it; with an uncontended pool the molecules stay
         // where they are (warm) and reactive control reclaims them at
         // its own pace.
-        const u32 want = std::min(size - target,
-                                  params_.predictive.maxActionMolecules);
+        const u32 want = std::min(size - target, kHintMaxActionMolecules);
         const u32 got = broker.withdraw(region, want);
         s.preWithdrawMolecules += got;
         delta = -static_cast<i32>(got);
     }
     ++s.hintsHonored;
-    if (traceHints())
-        std::fprintf(stderr,
-                     "hint act asid=%u now=%llu due=%llu target=%u "
-                     "size=%u delta=%d pressure=%.2f\n",
-                     region.asid().value(),
-                     static_cast<unsigned long long>(now),
-                     static_cast<unsigned long long>(s.hintDue), target,
-                     size, delta, pressure_);
     if (delta != 0) {
         // A predictive action is an action for the reactive flip-guard
         // (it must not be reversed within the cooldown) — but it never
@@ -586,7 +545,7 @@ QosGuardian::telemetry(Asid asid) const
     out.holdEpochs = s->holdEpochs;
     out.lastEpochsToGoal = s->lastEpochsToGoal;
     out.maxEpochsToGoal = s->maxEpochsToGoal;
-    out.stuck = s->epochsAboveGoal >= params_.watchdogEpochs &&
+    out.stuck = s->epochsAboveGoal >= kGuardianWatchdogEpochs &&
                 s->verdict != FeasibilityVerdict::Infeasible;
     out.epochsOutsideGoal = s->epochsOutsideGoal;
     out.accessesOutsideGoal = s->accessesOutsideGoal;
@@ -606,7 +565,7 @@ QosGuardian::summary() const
 {
     GuardianSummary out;
     out.enabled = true;
-    out.predictiveEnabled = params_.predictive.enabled;
+    out.predictiveEnabled = predictive_;
     out.poolPressure = pressure_;
     for (u32 i = 0; i < states_.size(); ++i) {
         const RegState &s = states_[i];

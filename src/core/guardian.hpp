@@ -40,7 +40,7 @@
  * The guardian is opt-in (params.guardian.enabled, default off).  A
  * disabled guardian is a null pointer through the whole control plane,
  * leaving the resizer byte-identical to the unguarded build; predictive
- * mode off leaves a guardian-on run byte-identical to PR-5 reactive
+ * mode off leaves a guardian-on run byte-identical to reactive-only
  * control.
  */
 
@@ -57,6 +57,60 @@
 namespace molcache {
 
 class MoleculeBroker;
+
+/** @{ Reactive guard thresholds (docs/algorithm1.md, "Guardrails"). */
+/** Relative dead-band around the goal: a decision is held while
+ * goal*(1-h) <= missRate <= goal*(1+h); widened under oscillation. */
+inline constexpr double kGuardianHysteresis = 0.10;
+/** Epochs an action blocks the opposite-direction action (the
+ * flip-guard), and the pause imposed after an oscillation event. */
+inline constexpr u32 kGuardianCooldownEpochs = 2;
+/** Sliding-window length, in evaluated resize epochs, of the delta
+ * sign-flip oscillation detector. */
+inline constexpr u32 kGuardianOscillationWindow = 8;
+/** Sign flips per window that count as control-plane thrashing. */
+inline constexpr u32 kGuardianMaxSignFlips = 2;
+/** Evaluated epochs above goal before a region is flagged stuck. */
+inline constexpr u32 kGuardianWatchdogEpochs = 32;
+/** Consecutive infeasible-looking epochs before the admission
+ * controller degrades the goal. */
+inline constexpr u32 kGuardianFeasibilityEpochs = 4;
+/** Pool-pressure EWMA above which regions at or past their fair share
+ * stop growing (starvation guard). */
+inline constexpr double kGuardianPressureThreshold = 0.75;
+/** @} */
+
+/** @{ Predictive-mode hint trust (docs/algorithm1.md, "Predictive mode
+ * & hint trust"). */
+/** Hints below this confidence are dropped at the door. */
+inline constexpr double kHintMinConfidence = 0.25;
+/** Largest pre-grant/pre-withdraw in one predictive action, molecules.
+ * Deliberately above maxAllocationChunk: the whole point of a trusted
+ * hint is to move further in one step than a reactive epoch would
+ * dare. */
+inline constexpr u32 kHintMaxActionMolecules = 64;
+/** Trust a region starts with — deliberately midway, so a new tenant
+ * must earn headroom before one bad hint quarantines it. */
+inline constexpr double kHintInitialTrust = 0.5;
+/** Trust required before a hint moves capacity.  Sits above
+ * kHintInitialTrust, so a brand-new tenant's first forecast is scored
+ * against reality but acts on nothing: trust is earned by a truthful
+ * hint before the guardian spends molecules on one, and a tenant that
+ * opens with a lie never gets to churn the pool. */
+inline constexpr double kHintActAbove = 0.55;
+/** EWMA step per scored hint (scaled by the hint's confidence):
+ * trust := (1-w)*trust + w*score. */
+inline constexpr double kHintTrustWeight = 0.45;
+/** Trust below this quarantines the region back to pure reactive
+ * control; its hints are still scored so it can re-earn trust. */
+inline constexpr double kHintQuarantineBelow = 0.30;
+/** Trust must climb back above this (hysteresis gap vs the quarantine
+ * threshold, mirroring the dead-band) to leave quarantine... */
+inline constexpr double kHintRestoreAbove = 0.65;
+/** ...and the region must have sat out at least this many evaluated
+ * epochs (probation, mirroring the oscillation cooldown). */
+inline constexpr u32 kHintProbationEpochs = 4;
+/** @} */
 
 class QosGuardian
 {
@@ -126,7 +180,7 @@ class QosGuardian
     Tick scaledPeriod(Asid asid, Tick period) const;
 
     /** Predictive mode configured on (hints are worth delivering). */
-    bool predictiveEnabled() const { return params_.predictive.enabled; }
+    bool predictiveEnabled() const { return predictive_; }
 
     /**
      * Ingest one phase hint for @p region.  Low-confidence hints are
@@ -146,7 +200,7 @@ class QosGuardian
      * Predictive pre-provisioning, run once per resize wakeup ahead of
      * the Algorithm-1 decision.  Acts when the armed hint's shift lands
      * before the region's next wakeup: grows toward / shrinks toward
-     * the promised footprint, bounded by maxActionMolecules, the
+     * the promised footprint, bounded by kHintMaxActionMolecules, the
      * capacity floor and the fair-share guard, and skipped outright
      * during an oscillation cooldown or quarantine.  @p broker should
      * be the guarded broker so floor clamps and pool pressure apply.
@@ -154,7 +208,6 @@ class QosGuardian
      */
     i32 predictiveStep(Region &region, MoleculeBroker &broker);
 
-    const GuardianParams &params() const { return params_; }
     double poolPressure() const { return pressure_; }
 
     /** Telemetry slice for @p asid (zero-initialized when unseen). */
@@ -249,7 +302,8 @@ class QosGuardian
      * and fold it into the outside-goal counters. */
     void rollQosWindow(RegState &s, double goal);
 
-    GuardianParams params_;
+    /** Predictive mode (GuardianParams::predictive). */
+    bool predictive_;
     /** Molecules one region could reach at most (its cluster's total). */
     u32 clusterCapacity_;
     u64 moleculeSizeBytes_;

@@ -62,7 +62,7 @@ struct GuardianAppTelemetry
     u64 epochsOutsideGoal = 0;
     u64 accessesOutsideGoal = 0;
     /** @} */
-    /** @{ Predictive mode (zero / initialTrust unless enabled). */
+    /** @{ Predictive mode (zero / kHintInitialTrust unless enabled). */
     u64 hintsSeen = 0;
     /** Hints whose pre-provisioning action was taken. */
     u64 hintsHonored = 0;

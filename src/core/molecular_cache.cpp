@@ -20,7 +20,7 @@ MolecularCache::MolecularCache(const MolecularCacheParams &params)
       // validate() below can report it.
       directory_(params.clusters, params.totalSizeBytes().value() /
                                       std::max(params.lineSize, 1u)),
-      noc_(params.clusters), resizer_(params)
+      resizer_(params)
 {
     params_.validate();
 
@@ -38,8 +38,7 @@ MolecularCache::MolecularCache(const MolecularCacheParams &params)
         std::vector<TileId> cluster_tiles;
         for (u32 i = 0; i < params_.tilesPerCluster; ++i)
             cluster_tiles.push_back(TileId{c * params_.tilesPerCluster + i});
-        ulmos_.emplace_back(ClusterId{c}, std::move(cluster_tiles),
-                            directory_);
+        ulmos_.emplace_back(ClusterId{c}, std::move(cluster_tiles));
     }
 
     appsPerCluster_.assign(params_.clusters, 0);
@@ -444,7 +443,6 @@ MolecularCache::access(const MemAccess &a)
 
     Region &region = regionFor(a.asid);
     Tile &home = tiles_[region.homeTile().value()];
-    home.notePortAccess();
 
     // The memoized probe schedule (docs/perf.md): equivalent to
     // planLookup() + the entry tile's shared-bit molecules, but rebuilt
@@ -503,20 +501,15 @@ MolecularCache::access(const MemAccess &a)
 
     if (hit_mol == nullptr && !plan.remote.empty()) {
         // Tile miss: Ulmo forwards to the region's other tiles.
-        Ulmo &ulmo = ulmos_[region.homeCluster().value()];
-        ulmo.noteTileMiss();
         for (const TileProbes &tp : plan.remote) {
             const u32 n = static_cast<u32>(tp.molecules.size());
             energy += ulmoHopNj_ + tileAccessEnergyNj(n);
             latency += params_.ulmoHopCycles + params_.asidStageCycles +
                        params_.moleculeAccessCycles;
             probes += n;
-            Tile &remote = tiles_[tp.tile.value()];
-            remote.notePortAccess();
-            ulmo.noteRemoteProbes(n);
-            hit_mol = probeTile(remote, tp.molecules, a.addr);
+            hit_mol = probeTile(tiles_[tp.tile.value()], tp.molecules,
+                                a.addr);
             if (hit_mol != nullptr) {
-                ulmo.noteRemoteHit();
                 level = 1;
                 break;
             }
@@ -532,7 +525,7 @@ MolecularCache::access(const MemAccess &a)
             const LineAddr line = lineAddrOf(a.addr, params_.lineSize);
             applyInvalidations(
                 directory_.noteWrite(line, region.homeCluster()), line,
-                a.asid, region.homeCluster());
+                a.asid);
         }
     } else {
         level = 2;
@@ -610,13 +603,12 @@ MolecularCache::handleMiss(Region &region, const MemAccess &a)
         }
         applyInvalidations(
             directory_.noteFill(LineAddr{la}, region.homeCluster(), dirty),
-            LineAddr{la}, a.asid, region.homeCluster());
+            LineAddr{la}, a.asid);
     }
 
     if (replaced) {
         // The paper's resize counters record misses that lead to line
         // replacements (section 3.4, "Where to add?").
-        mol.noteMiss();
         region.noteReplacement(mol_id, a.addr);
     }
     // The fill writes lineMultiple lines into the chosen molecule.
@@ -646,14 +638,10 @@ MolecularCache::chooseLruDirectMolecule(const Region &region, Addr addr)
 
 void
 MolecularCache::applyInvalidations(u32 clusters, LineAddr lineAddr,
-                                   Asid except, ClusterId origin)
+                                   Asid except)
 {
     for (; clusters != 0; clusters &= clusters - 1) {
         const ClusterId c{static_cast<u32>(std::countr_zero(clusters))};
-        // One invalidation message from the writing cluster to each
-        // victim over the inter-cluster interconnect.
-        noc_.sendMessage(origin.value(), c.value());
-        ulmos_[c.value()].noteInvalidation();
         for (auto &[asid, region] : regions_) {
             if (region.homeCluster() != c || asid == except)
                 continue;
@@ -765,14 +753,10 @@ MolecularCache::grant(Region &region, u32 count)
 
     take_from(region.homeTile());
 
-    Ulmo &ulmo = ulmos_[region.homeCluster().value()];
-    for (const TileId t : ulmo.tiles()) {
+    for (const TileId t : ulmos_[region.homeCluster().value()].tiles()) {
         if (t == region.homeTile() || got >= count)
             continue;
-        const u32 before = got;
         take_from(t);
-        if (got > before)
-            ulmo.noteDonation();
     }
     return got;
 }

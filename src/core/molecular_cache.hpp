@@ -41,7 +41,6 @@
 #include "core/resizer.hpp"
 #include "core/tile.hpp"
 #include "core/ulmo.hpp"
-#include "noc/topology.hpp"
 #include "power/cacti.hpp"
 
 namespace molcache {
@@ -102,8 +101,6 @@ class MolecularCache final : public CacheModel, private MoleculeBroker
         return ulmos_.at(cluster.value());
     }
     const CoherenceDirectory &directory() const { return directory_; }
-    /** Inter-cluster interconnect stats (coherence traffic). */
-    const NocModel &noc() const { return noc_; }
     const Resizer &resizer() const { return resizer_; }
     /** The QoS guardian, or nullptr when params().guardian is off. */
     const QosGuardian *guardian() const { return guardian_.get(); }
@@ -326,11 +323,9 @@ class MolecularCache final : public CacheModel, private MoleculeBroker
      * the address's molecule index (invalid slots win outright). */
     MoleculeId chooseLruDirectMolecule(const Region &region, Addr addr);
 
-    /** Apply directory-mandated invalidations for @p lineAddr, routing
-     * one message per victim cluster (bit c of @p clusters = cluster c,
-     * lowest first) from @p origin over the NoC. */
-    void applyInvalidations(u32 clusters, LineAddr lineAddr, Asid except,
-                            ClusterId origin);
+    /** Apply directory-mandated invalidations for @p lineAddr in each
+     * victim cluster (bit c of @p clusters = cluster c, lowest first). */
+    void applyInvalidations(u32 clusters, LineAddr lineAddr, Asid except);
 
     /** Run resize scheduling after an access by @p region. */
     void maybeResize(Region &region);
@@ -344,7 +339,6 @@ class MolecularCache final : public CacheModel, private MoleculeBroker
     MolecularCacheParams params_;
     std::vector<Tile> tiles_;
     CoherenceDirectory directory_;
-    NocModel noc_;
     std::vector<Ulmo> ulmos_;
     // Ordered region authority: stable nodes (regionIndex_ points into
     // them) and ascending-ASID iteration keep resize/invalidation order

@@ -75,7 +75,6 @@ Molecule::assignTo(Asid asid)
     // between applications.
     dropAllLines();
     asid_ = asid;
-    missCount_ = 0;
 }
 
 u32
@@ -84,7 +83,6 @@ Molecule::release()
     const u32 dirty = dropAllLines();
     asid_ = kInvalidAsid;
     shared_ = false;
-    missCount_ = 0;
     return dirty;
 }
 

@@ -188,11 +188,6 @@ class Molecule
     bool decommissioned() const { return decommissioned_; }
     /** @} */
 
-    /** Replacement-miss counter (resize guidance, section 3.4). */
-    u64 missCount() const { return missCount_; }
-    void noteMiss() { ++missCount_; }
-    void resetMissCount() { missCount_ = 0; }
-
     /** Valid lines currently held. */
     u32 validLines() const { return valid_; }
 
@@ -266,7 +261,6 @@ class Molecule
     std::vector<Tick> ownTouched_;
     std::vector<u8> ownFlags_;
     /** @} */
-    u64 missCount_ = 0;
     u32 valid_ = 0;
     u32 hardFaults_ = 0;
     bool decommissioned_ = false;

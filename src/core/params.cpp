@@ -84,21 +84,6 @@ MolecularCacheParams::validate() const
         fatal("bad resize period clamp");
     if (hardFaultThreshold == 0)
         fatal("hardFaultThreshold must be >= 1");
-    if (guardian.enabled) {
-        if (guardian.hysteresis < 0.0 || guardian.hysteresis >= 1.0)
-            fatal("guardian hysteresis out of [0,1)");
-        if (guardian.oscillationWindow < 2)
-            fatal("guardian oscillation window must be >= 2");
-        if (guardian.maxSignFlips == 0)
-            fatal("guardian maxSignFlips must be >= 1");
-        if (guardian.watchdogEpochs == 0)
-            fatal("guardian watchdog budget must be >= 1");
-        if (guardian.feasibilityEpochs == 0)
-            fatal("guardian feasibilityEpochs must be >= 1");
-        if (guardian.pressureThreshold <= 0.0 ||
-            guardian.pressureThreshold > 1.0)
-            fatal("guardian pressure threshold out of (0,1]");
-    }
 }
 
 } // namespace molcache

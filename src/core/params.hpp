@@ -77,78 +77,27 @@ ResizeScheme parseResizeScheme(const std::string &text);
 std::string resizeSchemeName(ResizeScheme s);
 
 /**
- * Predictive apportioning on top of the guardian (docs/algorithm1.md,
- * "Predictive mode & hint trust").  Default off — with it disabled the
- * guardian never reads a phase hint and never pre-provisions, so every
- * guardian-on run stays byte-identical to the PR-5 reactive control
- * plane (and guardian-off paper sweeps stay byte-identical, full stop).
- */
-struct PredictiveGuardianParams
-{
-    bool enabled = false;
-    /** Hints below this confidence are dropped at the door. */
-    double minConfidence = 0.25;
-    /** Largest pre-grant/pre-withdraw in one predictive action,
-     * molecules.  Deliberately above maxAllocationChunk: the whole point
-     * of a trusted hint is to move further in one step than a reactive
-     * epoch would dare. */
-    u32 maxActionMolecules = 64;
-    /** Trust a region starts with — deliberately midway, so a new
-     * tenant must earn headroom before one bad hint quarantines it. */
-    double initialTrust = 0.5;
-    /** Trust required before a hint moves capacity.  Sits above
-     * initialTrust, so a brand-new tenant's first forecast is scored
-     * against reality but acts on nothing: trust is earned by a
-     * truthful hint before the guardian spends molecules on one, and a
-     * tenant that opens with a lie never gets to churn the pool. */
-    double actAbove = 0.55;
-    /** EWMA step per scored hint (scaled by the hint's confidence):
-     * trust := (1-w)*trust + w*score. */
-    double trustWeight = 0.45;
-    /** Trust below this quarantines the region back to pure reactive
-     * control; its hints are still scored so it can re-earn trust. */
-    double quarantineBelow = 0.30;
-    /** Trust must climb back above this (hysteresis gap vs the
-     * quarantine threshold, mirroring the dead-band) to leave
-     * quarantine... */
-    double restoreAbove = 0.65;
-    /** ...and the region must have sat out at least this many evaluated
-     * epochs (probation, mirroring the oscillation cooldown). */
-    u32 probationEpochs = 4;
-};
-
-/**
  * QoS guardian configuration (docs/algorithm1.md, "Guardrails").
  * Default off — a disabled guardian never touches the control plane, so
- * sweeps stay byte-identical to the unguarded build.
+ * sweeps stay byte-identical to the unguarded build.  The guard
+ * thresholds are fixed constants (core/guardian.hpp, kGuardian* and
+ * kHint*).
  */
 struct GuardianParams
 {
     bool enabled = false;
-    /** Relative dead-band around the goal: a decision is held while
-     * goal*(1-h) <= missRate <= goal*(1+h); widened under oscillation. */
-    double hysteresis = 0.10;
-    /** Epochs an action blocks the opposite-direction action (the
-     * flip-guard), and the pause imposed after an oscillation event. */
-    u32 cooldownEpochs = 2;
-    /** Sliding-window length, in evaluated resize epochs, of the
-     * delta sign-flip oscillation detector. */
-    u32 oscillationWindow = 8;
-    /** Sign flips per window that count as control-plane thrashing. */
-    u32 maxSignFlips = 2;
     /** Default per-region capacity floor in molecules (0 = no floor);
      * overridable per region via MolecularCache::setRegionFloor. */
     u32 floorMolecules = 2;
-    /** Evaluated epochs above goal before a region is flagged stuck. */
-    u32 watchdogEpochs = 32;
-    /** Consecutive infeasible-looking epochs before the admission
-     * controller degrades the goal. */
-    u32 feasibilityEpochs = 4;
-    /** Pool-pressure EWMA above which regions at or past their fair
-     * share stop growing (starvation guard). */
-    double pressureThreshold = 0.75;
-    /** Phase-hint driven pre-provisioning; off by default. */
-    PredictiveGuardianParams predictive;
+    /**
+     * Predictive apportioning on top of the guardian (docs/algorithm1.md,
+     * "Predictive mode & hint trust").  Default off — with it disabled
+     * the guardian never reads a phase hint and never pre-provisions, so
+     * every guardian-on run stays byte-identical to the reactive control
+     * plane (and guardian-off paper sweeps stay byte-identical, full
+     * stop).
+     */
+    bool predictive = false;
 };
 
 struct MolecularCacheParams

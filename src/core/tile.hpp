@@ -92,10 +92,6 @@ class Tile
         return numMolecules() - decommissioned_;
     }
 
-    /** Port-pressure accounting: one request entered this tile. */
-    void notePortAccess() { ++portAccesses_; }
-    u64 portAccesses() const { return portAccesses_; }
-
     /** @{ Struct-of-arrays tag view scanned by the access path's tile
      * probe (docs/perf.md).  All line state of the tile's molecules
      * lives in these contiguous per-tile arrays, line-major: the slot
@@ -121,7 +117,6 @@ class Tile
     std::vector<Molecule> molecules_;
     u32 free_;
     u32 decommissioned_ = 0;
-    u64 portAccesses_ = 0;
 };
 
 } // namespace molcache

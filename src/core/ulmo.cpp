@@ -1,22 +1,15 @@
 #include "core/ulmo.hpp"
 
-#include <algorithm>
+#include <utility>
 
 #include "contract/contract.hpp"
 
 namespace molcache {
 
-Ulmo::Ulmo(ClusterId cluster, std::vector<TileId> tiles,
-           CoherenceDirectory &directory)
-    : cluster_(cluster), tiles_(std::move(tiles)), directory_(directory)
+Ulmo::Ulmo(ClusterId cluster, std::vector<TileId> tiles)
+    : cluster_(cluster), tiles_(std::move(tiles))
 {
     MOLCACHE_EXPECT(!tiles_.empty(), "Ulmo with no tiles");
-}
-
-bool
-Ulmo::managesTile(TileId tile) const
-{
-    return std::find(tiles_.begin(), tiles_.end(), tile) != tiles_.end();
 }
 
 } // namespace molcache

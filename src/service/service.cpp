@@ -149,16 +149,15 @@ Service::attach(const TenantSpec &spec, AttachError *error)
         return TenantHandle{};
     };
 
-    const double goal =
-        spec.missRateGoal == 0.0 ? options_.defaultGoal : spec.missRateGoal;
+    const double goal = spec.missRateGoal == 0.0
+                            ? options_.cache.defaultMissRateGoal
+                            : spec.missRateGoal;
     if (goal <= 0.0 || goal > 1.0 || spec.lineMultiple == 0)
         return fail(AttachError::BadSpec);
     if (spec.shard != TenantSpec::kAnyShard &&
         spec.shard >= shards_.size())
         return fail(AttachError::BadSpec);
-    const u32 floor = spec.floorMolecules == TenantSpec::kDefaultFloor
-                          ? options_.defaultFloor
-                          : spec.floorMolecules;
+    const u32 floor = spec.floorMolecules;
 
     MutexLock admin(adminMutex_);
     if (options_.maxTenants != 0) {
@@ -459,7 +458,7 @@ Service::updateHealthLocked(u64 epoch)
         health.healthy = shardMolecules_ - decommissioned;
         if (!health.quarantined &&
             static_cast<double>(decommissioned) >=
-                options_.quarantineThreshold *
+                kQuarantineThreshold *
                     static_cast<double>(shardMolecules_)) {
             health.quarantined = true;
             health.quarantinedAt = epoch;
@@ -593,8 +592,6 @@ Service::degradeGoalsLocked()
         if (!health.quarantined)
             healthy += health.healthy;
     healthyMoleculesTotal_ = healthy;
-    if (!options_.degradeGoals)
-        return;
     const u64 total = static_cast<u64>(shards_.size()) * shardMolecules_;
     if (healthy == total)
         return; // full capacity: nothing to relax
@@ -651,8 +648,6 @@ Service::runEpochLocked()
     }
 
     // 3) Audit + merge per-shard statistics into one snapshot.
-    const bool audit = options_.auditEpochs != 0 &&
-                       epoch % options_.auditEpochs == 0;
     ServiceSummary snap;
     snap.epoch = epoch;
     snap.shards.reserve(shards_.size());
@@ -661,16 +656,13 @@ Service::runEpochLocked()
     for (u32 i = 0; i < shards_.size(); ++i) {
         Shard &sh = *shards_[i];
         MutexLock lock(sh.mutex);
-        if (audit) {
-            const InvariantChecker::Report report =
-                InvariantChecker::check(*sh.cache);
-            invariantChecksRun_ += report.checksRun;
-            invariantViolations_ +=
-                static_cast<u64>(report.violations.size());
-            for (const std::string &violation : report.violations)
-                warn("service epoch ", epoch, ", shard ", i,
-                     ": invariant violation: ", violation);
-        }
+        const InvariantChecker::Report report =
+            InvariantChecker::check(*sh.cache);
+        invariantChecksRun_ += report.checksRun;
+        invariantViolations_ += static_cast<u64>(report.violations.size());
+        for (const std::string &violation : report.violations)
+            warn("service epoch ", epoch, ", shard ", i,
+                 ": invariant violation: ", violation);
         const AccessCounters &g = sh.cache->stats().global();
         ServiceShardSummary shard_summary;
         shard_summary.shard = i;

@@ -37,7 +37,7 @@
  *  - a seeded ChaosSchedule (service/chaos.hpp) fires transient flips,
  *    hard-fault decommissions, whole-shard outages and shard stalls at
  *    epoch boundaries, each applied under the target shard's lock;
- *  - a shard that loses quarantineThreshold of its molecules is
+ *  - a shard that loses kQuarantineThreshold of its molecules is
  *    QUARANTINED: admissions stop, its live tenants are re-homed onto
  *    healthy shards (strictest goal first) with warm-up accounting, and
  *    the shard drains;
@@ -349,8 +349,8 @@ class Service
     /**
      * Run one control-plane epoch on the caller's thread: drain
      * departures, fire due chaos events, quarantine/remap/degrade,
-     * audit (per ServiceOptions::auditEpochs), rebuild the summary
-     * snapshot.  This is the only epoch entry point — the control
+     * audit every shard, rebuild the summary snapshot.  This is the
+     * only epoch entry point — the control
      * thread calls it too — so embedders running with epochMillis == 0
      * get the identical control plane, just paced by themselves.
      */

@@ -14,20 +14,6 @@ ServiceOptions::note(const std::source_location &loc,
 }
 
 ServiceOptions &
-ServiceOptions::withCacheParams(const MolecularCacheParams &params,
-                                std::source_location loc)
-{
-    if (params.clusters != 1)
-        note(loc, detail::concat(
-                      "per-shard cache geometry must have clusters == 1 "
-                      "(got ",
-                      params.clusters,
-                      "); scale out with service.shards instead"));
-    cache = params;
-    return *this;
-}
-
-ServiceOptions &
 ServiceOptions::withShards(u32 count, std::source_location loc)
 {
     if (count == 0)
@@ -44,39 +30,9 @@ ServiceOptions::withEpochMillis(u64 millis, std::source_location)
 }
 
 ServiceOptions &
-ServiceOptions::withAuditEpochs(u32 epochs, std::source_location)
-{
-    auditEpochs = epochs;
-    return *this;
-}
-
-ServiceOptions &
 ServiceOptions::withMaxTenants(u32 count, std::source_location)
 {
     maxTenants = count;
-    return *this;
-}
-
-ServiceOptions &
-ServiceOptions::withDefaultGoal(double goal, std::source_location loc)
-{
-    if (goal <= 0.0 || goal > 1.0)
-        note(loc, detail::concat("service.default_goal must be in (0, 1], "
-                                 "got ",
-                                 goal));
-    defaultGoal = goal;
-    return *this;
-}
-
-ServiceOptions &
-ServiceOptions::withDefaultFloor(u32 molecules, std::source_location loc)
-{
-    const u32 per_shard = cache.moleculesPerTile * cache.tilesPerCluster;
-    if (molecules > per_shard)
-        note(loc, detail::concat("service.default_floor (", molecules,
-                                 ") exceeds a whole shard (", per_shard,
-                                 " molecules)"));
-    defaultFloor = molecules;
     return *this;
 }
 
@@ -99,18 +55,6 @@ ServiceOptions::withChaos(const ChaosSpec &spec, std::source_location loc)
 }
 
 ServiceOptions &
-ServiceOptions::withQuarantineThreshold(double fraction,
-                                        std::source_location loc)
-{
-    if (fraction <= 0.0 || fraction > 1.0)
-        note(loc, detail::concat("service.quarantine_threshold must be in "
-                                 "(0, 1], got ",
-                                 fraction));
-    quarantineThreshold = fraction;
-    return *this;
-}
-
-ServiceOptions &
 ServiceOptions::withAdmitWatermarks(double high, double low,
                                     std::source_location loc)
 {
@@ -128,13 +72,6 @@ ServiceOptions::withAdmitWatermarks(double high, double low,
 }
 
 ServiceOptions &
-ServiceOptions::withDegradeGoals(bool enabled, std::source_location)
-{
-    degradeGoals = enabled;
-    return *this;
-}
-
-ServiceOptions &
 ServiceOptions::withRecoverySlack(double slack, std::source_location loc)
 {
     if (slack < 0.0 || slack >= 1.0)
@@ -143,77 +80,6 @@ ServiceOptions::withRecoverySlack(double slack, std::source_location loc)
                                  slack));
     recoverySlack = slack;
     return *this;
-}
-
-ServiceOptions
-ServiceOptions::fromConfig(const Config &cfg, std::source_location loc)
-{
-    ServiceOptions opts;
-    opts.withShards(
-        static_cast<u32>(cfg.getInt("service.shards",
-                                    static_cast<i64>(opts.shards))),
-        loc);
-    opts.withEpochMillis(
-        static_cast<u64>(cfg.getInt("service.epoch_ms",
-                                    static_cast<i64>(opts.epochMillis))),
-        loc);
-    opts.withAuditEpochs(
-        static_cast<u32>(cfg.getInt("service.audit_epochs",
-                                    static_cast<i64>(opts.auditEpochs))),
-        loc);
-    opts.withMaxTenants(
-        static_cast<u32>(cfg.getInt("service.max_tenants",
-                                    static_cast<i64>(opts.maxTenants))),
-        loc);
-    opts.withDefaultGoal(cfg.getDouble("service.default_goal",
-                                       opts.defaultGoal),
-                         loc);
-    opts.withDefaultFloor(
-        static_cast<u32>(cfg.getInt("service.default_floor",
-                                    static_cast<i64>(opts.defaultFloor))),
-        loc);
-    opts.withGuardian(cfg.getBool("service.guardian",
-                                  opts.cache.guardian.enabled),
-                      loc);
-    ChaosSpec chaos = opts.chaos;
-    chaos.seed = static_cast<u64>(
-        cfg.getInt("service.chaos.seed", static_cast<i64>(chaos.seed)));
-    chaos.windowStart = static_cast<u64>(
-        cfg.getInt("service.chaos.window_start",
-                   static_cast<i64>(chaos.windowStart)));
-    chaos.windowEnd = static_cast<u64>(
-        cfg.getInt("service.chaos.window_end",
-                   static_cast<i64>(chaos.windowEnd)));
-    chaos.transientFlips = static_cast<u32>(
-        cfg.getInt("service.chaos.transient_flips",
-                   static_cast<i64>(chaos.transientFlips)));
-    chaos.hardFaults = static_cast<u32>(
-        cfg.getInt("service.chaos.hard_faults",
-                   static_cast<i64>(chaos.hardFaults)));
-    chaos.shardOutages = static_cast<u32>(
-        cfg.getInt("service.chaos.shard_outages",
-                   static_cast<i64>(chaos.shardOutages)));
-    chaos.shardStalls = static_cast<u32>(
-        cfg.getInt("service.chaos.shard_stalls",
-                   static_cast<i64>(chaos.shardStalls)));
-    chaos.stallEpochs = static_cast<u64>(
-        cfg.getInt("service.chaos.stall_epochs",
-                   static_cast<i64>(chaos.stallEpochs)));
-    opts.withChaos(chaos, loc);
-    opts.withQuarantineThreshold(
-        cfg.getDouble("service.quarantine_threshold",
-                      opts.quarantineThreshold),
-        loc);
-    opts.withAdmitWatermarks(
-        cfg.getDouble("service.admit_high_water", opts.admitHighWater),
-        cfg.getDouble("service.admit_low_water", opts.admitLowWater), loc);
-    opts.withDegradeGoals(cfg.getBool("service.degrade_goals",
-                                      opts.degradeGoals),
-                          loc);
-    opts.withRecoverySlack(cfg.getDouble("service.recovery_slack",
-                                         opts.recoverySlack),
-                           loc);
-    return opts;
 }
 
 void
@@ -227,10 +93,6 @@ ServiceOptions::validate() const
             "service.shards must fit the 16-bit routing field (<= 65535), "
             "got ",
             shards));
-    if (quarantineThreshold <= 0.0 || quarantineThreshold > 1.0)
-        all.push_back(detail::concat(
-            "service.quarantine_threshold must be in (0, 1], got ",
-            quarantineThreshold));
     if (admitHighWater > 0.0 && admitLowWater > admitHighWater)
         all.push_back(detail::concat(
             "service.admit_low_water (", admitLowWater,
@@ -243,9 +105,6 @@ ServiceOptions::validate() const
         all.push_back(detail::concat(
             "per-shard cache geometry must have clusters == 1, got ",
             cache.clusters));
-    if (defaultGoal <= 0.0 || defaultGoal > 1.0)
-        all.push_back(detail::concat(
-            "service.default_goal must be in (0, 1], got ", defaultGoal));
     if (!all.empty()) {
         std::string joined;
         for (const std::string &e : all) {

@@ -10,11 +10,8 @@
  *    violation *with the caller's file:line* (std::source_location), so
  *    validate() can report "bench/service_churn.cpp:87: service.shards
  *    must be >= 1" instead of an anonymous failure deep inside the
- *    service constructor — the same file:line contract PR 1 set for
- *    config-file errors;
- *  - fromConfig() builds the options from the registered `service.*`
- *    config keys (src/util/config_keys.cpp), so a config file and the
- *    fluent builder are interchangeable front ends.
+ *    service constructor — the same file:line contract that
+ *    config-file errors follow.
  *
  * Shard geometry: `cache` describes ONE shard, and a shard is exactly
  * one tile cluster — the cluster is Ulmo's search domain, regions never
@@ -33,10 +30,14 @@
 
 #include "core/params.hpp"
 #include "service/chaos.hpp"
-#include "util/config.hpp"
 
 namespace molcache {
 namespace mc {
+
+/** Quarantine a shard once this fraction of its molecules is
+ * decommissioned: admissions stop, its tenants remap to healthy shards,
+ * and it drains (docs/fault_model.md). */
+inline constexpr double kQuarantineThreshold = 0.5;
 
 struct ServiceOptions
 {
@@ -55,28 +56,13 @@ struct ServiceOptions
      */
     u64 epochMillis = 20;
 
-    /** Run the InvariantChecker audit every N epochs (0 = never). */
-    u32 auditEpochs = 1;
-
     /** Admission cap on live tenants (0 = unlimited). */
     u32 maxTenants = 0;
-
-    /** Miss-rate goal for tenants whose spec leaves the goal at 0. */
-    double defaultGoal = 0.1;
-
-    /** Capacity floor (molecules) for tenants whose spec asks for the
-     * default (0 = no floor beyond the guardian's own). */
-    u32 defaultFloor = 0;
 
     /** Seeded chaos storm fired by the control-plane epochs; all-zero
      * event counts (the default) leave chaos off and the service
      * byte-identical to its pre-resilience behaviour. */
     ChaosSpec chaos;
-
-    /** Quarantine a shard once this fraction of its molecules is
-     * decommissioned: admissions stop, its tenants remap to healthy
-     * shards, and it drains (docs/fault_model.md). */
-    double quarantineThreshold = 0.5;
 
     /**
      * Overload-protection watermarks over *healthy* capacity: attach()
@@ -90,11 +76,6 @@ struct ServiceOptions
     double admitHighWater = 0.0;
     double admitLowWater = 0.0;
 
-    /** Proportionally relax per-tenant miss-rate goals when healthy
-     * capacity shrinks (goal x total/healthy, capped at 1.0) so the
-     * guardian degrades tenants fairly instead of thrashing. */
-    bool degradeGoals = true;
-
     /** A remapped tenant counts as re-converged once its per-epoch
      * miss-rate EWMA is within this slack of its (degraded) goal or of
      * its own pre-remap EWMA, whichever is easier. */
@@ -102,26 +83,14 @@ struct ServiceOptions
 
     /** @{ Fluent setters; invalid arguments are recorded (with the call
      * site) and reported by validate(). */
-    ServiceOptions &withCacheParams(
-        const MolecularCacheParams &params,
-        std::source_location loc = std::source_location::current());
     ServiceOptions &withShards(
         u32 count,
         std::source_location loc = std::source_location::current());
     ServiceOptions &withEpochMillis(
         u64 millis,
         std::source_location loc = std::source_location::current());
-    ServiceOptions &withAuditEpochs(
-        u32 epochs,
-        std::source_location loc = std::source_location::current());
     ServiceOptions &withMaxTenants(
         u32 count,
-        std::source_location loc = std::source_location::current());
-    ServiceOptions &withDefaultGoal(
-        double goal,
-        std::source_location loc = std::source_location::current());
-    ServiceOptions &withDefaultFloor(
-        u32 molecules,
         std::source_location loc = std::source_location::current());
     ServiceOptions &withGuardian(
         bool enabled,
@@ -129,29 +98,13 @@ struct ServiceOptions
     ServiceOptions &withChaos(
         const ChaosSpec &spec,
         std::source_location loc = std::source_location::current());
-    ServiceOptions &withQuarantineThreshold(
-        double fraction,
-        std::source_location loc = std::source_location::current());
     ServiceOptions &withAdmitWatermarks(
         double high, double low,
-        std::source_location loc = std::source_location::current());
-    ServiceOptions &withDegradeGoals(
-        bool enabled,
         std::source_location loc = std::source_location::current());
     ServiceOptions &withRecoverySlack(
         double slack,
         std::source_location loc = std::source_location::current());
     /** @} */
-
-    /**
-     * Build options from the `service.*` config keys, starting from the
-     * defaults above (unknown keys in @p cfg are the caller's
-     * warnUnknownKeys problem, as everywhere).  Out-of-range values are
-     * recorded against @p loc — the config consumer's call site.
-     */
-    static ServiceOptions fromConfig(
-        const Config &cfg,
-        std::source_location loc = std::source_location::current());
 
     /**
      * Violations recorded so far, each "file:line: message".  Empty
@@ -162,8 +115,9 @@ struct ServiceOptions
 
     /**
      * Fatal if any setter recorded a violation or a cross-field rule
-     * fails (shards >= 1, cache.clusters == 1, goal in (0,1]); also
-     * runs cache.validate().  Service's constructor calls this.
+     * fails (shards >= 1, cache.clusters == 1, ordered admit
+     * watermarks, a non-empty chaos window); also runs cache.validate().
+     * Service's constructor calls this.
      */
     void validate() const;
 

@@ -52,16 +52,15 @@ struct TenantSpec
 {
     /** Placement wildcard: the service picks the least-loaded shard. */
     static constexpr u32 kAnyShard = std::numeric_limits<u32>::max();
-    /** Floor wildcard: use ServiceOptions::defaultFloor. */
-    static constexpr u32 kDefaultFloor = std::numeric_limits<u32>::max();
 
     /** Display name (telemetry only; empty gets "tenant<N>"). */
     std::string name;
-    /** Miss-rate goal Algorithm 1 steers towards; 0 = the service
-     * default (ServiceOptions::defaultGoal). */
+    /** Miss-rate goal Algorithm 1 steers towards; 0 = the cache
+     * default (MolecularCacheParams::defaultMissRateGoal). */
     double missRateGoal = 0.0;
-    /** Capacity floor in molecules (guardian fairness guard). */
-    u32 floorMolecules = kDefaultFloor;
+    /** Capacity floor in molecules (guardian fairness guard; 0 = no
+     * floor beyond the guardian's own). */
+    u32 floorMolecules = 0;
     /** Region line-size multiple (1 => 64 B lines, 2 => 128 B, ...). */
     u32 lineMultiple = 1;
     /** Destination shard, or kAnyShard for service placement. */

@@ -22,25 +22,10 @@ knownConfigKeys()
         {"fault.window_start", "first eligible fault tick"},
         {"goal", "common per-application miss-rate goal"},
         {"goal.", "per-ASID miss-rate goal override (goal.<asid>)"},
-        {"guardian.cooldown", "epochs an action blocks its reversal"},
         {"guardian.enabled", "QoS guardian around the resizer (0/1)"},
-        {"guardian.feasibility_epochs", "infeasible epochs before degrading"},
         {"guardian.floor", "default per-region capacity floor, molecules"},
         {"guardian.floor.", "per-ASID capacity floor (guardian.floor.<asid>)"},
-        {"guardian.hysteresis", "relative dead-band around the goal"},
-        {"guardian.max_flips", "delta sign flips per window that trip"},
-        {"guardian.predictive.act_above", "trust required before hints act"},
         {"guardian.predictive.enabled", "phase-hint pre-provisioning (0/1)"},
-        {"guardian.predictive.initial_trust", "trust a new region starts with"},
-        {"guardian.predictive.max_action", "molecule cap per predictive action"},
-        {"guardian.predictive.min_confidence", "confidence floor for hints"},
-        {"guardian.predictive.probation", "epochs quarantine must last"},
-        {"guardian.predictive.quarantine_below", "trust level entering quarantine"},
-        {"guardian.predictive.restore_above", "trust level leaving quarantine"},
-        {"guardian.predictive.trust_weight", "trust EWMA step per scored hint"},
-        {"guardian.pressure", "pool-pressure level pausing fair-share growth"},
-        {"guardian.watchdog", "epochs above goal before a region is stuck"},
-        {"guardian.window", "oscillation detector window, epochs"},
         {"hard_fault_threshold", "detections before decommissioning"},
         {"model", "cache model: molecular | setassoc | waypart"},
         {"molecule", "molecule capacity in bytes"},
@@ -50,26 +35,6 @@ knownConfigKeys()
         {"replacement", "set-assoc replacement policy"},
         {"resize", "resize scheme: constant | global | perapp"},
         {"seed", "workload/model RNG seed"},
-        {"service.admit_high_water", "demand/healthy capacity closing admission (0 = off)"},
-        {"service.admit_low_water", "demand/healthy capacity reopening admission"},
-        {"service.audit_epochs", "service audit period in epochs (0 = off)"},
-        {"service.chaos.hard_faults", "chaos hard-fault decommission events"},
-        {"service.chaos.seed", "chaos schedule RNG seed"},
-        {"service.chaos.shard_outages", "chaos whole-shard outages (max shards-1)"},
-        {"service.chaos.shard_stalls", "chaos shard-stall events"},
-        {"service.chaos.stall_epochs", "epochs one stall event lasts"},
-        {"service.chaos.transient_flips", "chaos transient bit flips"},
-        {"service.chaos.window_end", "last epoch chaos events may fire"},
-        {"service.chaos.window_start", "first epoch chaos events may fire"},
-        {"service.default_floor", "service default tenant floor, molecules"},
-        {"service.default_goal", "service default tenant miss-rate goal"},
-        {"service.degrade_goals", "relax goals when healthy capacity shrinks (0/1)"},
-        {"service.epoch_ms", "service control-plane epoch period (0 = manual)"},
-        {"service.guardian", "service QoS guardian on its shards (0/1)"},
-        {"service.max_tenants", "service admission cap (0 = unlimited)"},
-        {"service.quarantine_threshold", "decommissioned fraction quarantining a shard"},
-        {"service.recovery_slack", "miss-rate slack ending remap warm-up"},
-        {"service.shards", "independently-locked service cache shards"},
         {"size", "total cache capacity in bytes"},
         {"tiles", "tiles per cluster"},
         {"workload.hint.confidence", "confidence stamped on emitted hints"},

@@ -146,7 +146,7 @@ TEST(Guardian, FlipGuardBlocksImmediateReversal)
     g.afterDecision(r, +4, 0.30, 0.1);
     // ...so an immediate shrink (mr far below goal) is held.
     EXPECT_TRUE(g.gateHold(r, 0.02, 0.1, &eff));
-    // Two quiet epochs (cooldownEpochs = 2) later the guard lifts.
+    // Two quiet epochs (kGuardianCooldownEpochs) later the guard lifts.
     g.afterDecision(r, 0, 0.30, 0.1);
     g.afterDecision(r, 0, 0.30, 0.1);
     EXPECT_FALSE(g.gateHold(r, 0.02, 0.1, &eff));
@@ -162,7 +162,7 @@ TEST(Guardian, OscillationTripWidensBandAndBacksOffPeriod)
     const Asid asid = r.asid();
     EXPECT_EQ(g.scaledPeriod(asid, 25000), 25000u);
 
-    // Alternating deltas: the second flip reaches maxSignFlips = 2.
+    // Alternating deltas: the second flip reaches kGuardianMaxSignFlips.
     g.afterDecision(r, +2, 0.30, 0.1);
     g.afterDecision(r, -2, 0.02, 0.1);
     g.afterDecision(r, +2, 0.30, 0.1);
@@ -170,7 +170,7 @@ TEST(Guardian, OscillationTripWidensBandAndBacksOffPeriod)
     EXPECT_EQ(t.oscillationEvents, 1u);
     // The window restarts on the trip, so the recorded worst case stays
     // at the configured bound instead of growing without limit.
-    EXPECT_EQ(t.maxSignFlips, params().guardian.maxSignFlips);
+    EXPECT_EQ(t.maxSignFlips, kGuardianMaxSignFlips);
     // Period backoff doubled the resize period (capped at the max).
     EXPECT_EQ(g.scaledPeriod(asid, 25000), 50000u);
     // The trip imposes a cooldown pause: even a far-out miss rate holds.
@@ -178,7 +178,7 @@ TEST(Guardian, OscillationTripWidensBandAndBacksOffPeriod)
     EXPECT_TRUE(g.gateHold(r, 0.9, 0.1, &eff));
 
     // One full calm window halves the backoff again.
-    for (u32 i = 0; i < params().guardian.oscillationWindow + 2; ++i)
+    for (u32 i = 0; i < kGuardianOscillationWindow + 2; ++i)
         g.afterDecision(r, 0, 0.105, 0.1);
     EXPECT_EQ(g.scaledPeriod(asid, 25000), 25000u);
 }
@@ -194,7 +194,7 @@ TEST(Guardian, WidenedBandHoldsWhatNormalBandWouldNot)
     g.afterDecision(r, +2, 0.30, 0.1);
     g.afterDecision(r, -2, 0.02, 0.1);
     g.afterDecision(r, +2, 0.30, 0.1);
-    // Drain the cooldown pause (cooldownEpochs = 2).
+    // Drain the cooldown pause (kGuardianCooldownEpochs).
     EXPECT_TRUE(g.gateHold(r, 0.115, 0.1, &eff));
     EXPECT_TRUE(g.gateHold(r, 0.115, 0.1, &eff));
     // Now the hold comes from the widened dead-band [0.08, 0.12] itself.
@@ -206,7 +206,7 @@ TEST(Guardian, InfeasibleGoalEntersDegradedModeWithShortfall)
     QosGuardian g(params()); // cluster capacity 16
     const Region r = makeRegion(8);
     // k ~= 0.9 * 8 = 7.2 => predicted floor 7.2/16 = 0.45 >> goal 0.1.
-    for (u32 i = 0; i < params().guardian.feasibilityEpochs; ++i)
+    for (u32 i = 0; i < kGuardianFeasibilityEpochs; ++i)
         g.afterDecision(r, 0, 0.9, 0.1);
     const GuardianAppTelemetry t = g.telemetry(r.asid());
     EXPECT_EQ(t.verdict, FeasibilityVerdict::Infeasible);
@@ -225,7 +225,7 @@ TEST(Guardian, InfeasibleNeedsConsecutiveEpochs)
 {
     QosGuardian g(params());
     const Region r = makeRegion(8);
-    for (u32 i = 0; i + 1 < params().guardian.feasibilityEpochs; ++i)
+    for (u32 i = 0; i + 1 < kGuardianFeasibilityEpochs; ++i)
         g.afterDecision(r, 0, 0.9, 0.1);
     EXPECT_EQ(g.telemetry(r.asid()).verdict, FeasibilityVerdict::Unknown);
 }
@@ -234,7 +234,7 @@ TEST(Guardian, DegradedModeExitsWhenGoalReached)
 {
     QosGuardian g(params());
     const Region r = makeRegion(8);
-    for (u32 i = 0; i < params().guardian.feasibilityEpochs; ++i)
+    for (u32 i = 0; i < kGuardianFeasibilityEpochs; ++i)
         g.afterDecision(r, 0, 0.9, 0.1);
     ASSERT_EQ(g.telemetry(r.asid()).verdict,
               FeasibilityVerdict::Infeasible);
@@ -290,26 +290,25 @@ TEST(Guardian, ResizerHonoursFloorEndToEnd)
 TEST(Guardian, WatchdogFlagsStuckAndTimesReconvergence)
 {
     MolecularCacheParams p = params();
-    p.guardian.watchdogEpochs = 4;
     // Default geometry => cluster capacity 256, so mr 0.3 at size 4
     // predicts ~0.005 at capacity: feasible-looking, just not converged.
     p.moleculesPerTile = 64;
     p.tilesPerCluster = 4;
     QosGuardian g(p);
     const Region r = makeRegion(4);
-    for (u32 i = 0; i < 4; ++i) {
+    for (u32 i = 0; i < kGuardianWatchdogEpochs; ++i) {
         EXPECT_FALSE(g.telemetry(r.asid()).stuck);
         g.afterDecision(r, 0, 0.30, 0.1);
     }
     EXPECT_TRUE(g.telemetry(r.asid()).stuck);
     EXPECT_EQ(g.summary().stuckRegions, 1u);
-    EXPECT_GE(g.summary().maxEpochsToGoal, 4u);
+    EXPECT_GE(g.summary().maxEpochsToGoal, kGuardianWatchdogEpochs);
     // Reaching the goal clears the flag and records the time-to-goal.
     g.afterDecision(r, 0, 0.09, 0.1);
     const GuardianAppTelemetry t = g.telemetry(r.asid());
     EXPECT_FALSE(t.stuck);
-    EXPECT_EQ(t.lastEpochsToGoal, 4u);
-    EXPECT_EQ(t.maxEpochsToGoal, 4u);
+    EXPECT_EQ(t.lastEpochsToGoal, kGuardianWatchdogEpochs);
+    EXPECT_EQ(t.maxEpochsToGoal, kGuardianWatchdogEpochs);
 }
 
 TEST(Guardian, PoolPressureHoldsGrowthAtFairShare)
@@ -319,7 +318,7 @@ TEST(Guardian, PoolPressureHoldsGrowthAtFairShare)
     // Repeated empty grants drive the pressure EWMA toward 1.
     for (u32 i = 0; i < 20; ++i)
         g.noteGrant(big.asid(), 8, 0);
-    EXPECT_GT(g.poolPressure(), params().guardian.pressureThreshold);
+    EXPECT_GT(g.poolPressure(), kGuardianPressureThreshold);
     double eff = 0.0;
     // At (or past) the fair share, growth is paused under pressure...
     EXPECT_TRUE(g.gateHold(big, 0.5, 0.1, &eff));
@@ -332,12 +331,10 @@ TEST(Guardian, PoolPressureHoldsGrowthAtFairShare)
 
 TEST(Guardian, ColdStartZeroWidthWindowSurvivesFirstEpoch)
 {
-    // A zero-width oscillation window must not make the first decision's
-    // sign-window bookkeeping (index modulus) or the feasibility model
-    // divide by zero; the cold-start verdict stays Unknown.
-    MolecularCacheParams p = params();
-    p.guardian.oscillationWindow = 0;
-    QosGuardian g(p);
+    // The first decision lands on an empty sign window and an empty
+    // feasibility history; neither may trip a verdict, so the
+    // cold-start verdict stays Unknown.
+    QosGuardian g(params());
     const Region r = makeRegion(4);
     g.afterDecision(r, +4, 0.30, 0.1);
     EXPECT_EQ(g.telemetry(r.asid()).verdict, FeasibilityVerdict::Unknown);
@@ -355,11 +352,10 @@ TEST(Guardian, ColdStartZeroWidthWindowSurvivesFirstEpoch)
 // ---------------------------------------------------------------------
 
 MolecularCacheParams
-predictiveParams(double initialTrust = 0.5)
+predictiveParams()
 {
     MolecularCacheParams p = params();
-    p.guardian.predictive.enabled = true;
-    p.guardian.predictive.initialTrust = initialTrust;
+    p.guardian.predictive = true;
     return p;
 }
 
@@ -388,6 +384,20 @@ scoreArmedHint(QosGuardian &g, Region &r, double missRate,
     }
 }
 
+/**
+ * Earn action-eligible trust the way a tenant does: one truthful grow
+ * hint with one interval of post-shift evidence.  Its score is
+ * finalized by the caller's next acceptHint (a newer forecast
+ * supersedes it), which lifts trust from kHintInitialTrust to 0.7025
+ * before that hint meets the kHintActAbove gate.
+ */
+void
+earnTrust(QosGuardian &g, Region &r)
+{
+    EXPECT_FALSE(g.acceptHint(hint(r, r.size() + 8), r));
+    scoreArmedHint(g, r, 0.30, /*intervals=*/1);
+}
+
 TEST(Guardian, PredictiveOffIgnoresHints)
 {
     QosGuardian g(params()); // predictive disabled
@@ -401,7 +411,7 @@ TEST(Guardian, PredictiveOffIgnoresHints)
 
 TEST(Guardian, LowConfidenceHintRejectedAtTheDoor)
 {
-    QosGuardian g(predictiveParams(/*initialTrust=*/0.9));
+    QosGuardian g(predictiveParams());
     const Region r = makeRegion(4);
     EXPECT_FALSE(g.acceptHint(hint(r, 12, 0, /*confidence=*/0.1), r));
     const GuardianAppTelemetry t = g.telemetry(r.asid());
@@ -412,9 +422,9 @@ TEST(Guardian, LowConfidenceHintRejectedAtTheDoor)
 
 TEST(Guardian, UnprovenTenantScoresButNeverActs)
 {
-    // initialTrust (0.5) sits below actAbove (0.55): the first forecast
-    // is observation-only — no wakeup pull (acceptHint false), no
-    // capacity movement — but it IS scored, and a truthful one earns
+    // kHintInitialTrust (0.5) sits below kHintActAbove (0.55): the first
+    // forecast is observation-only — no wakeup pull (acceptHint false),
+    // no capacity movement — but it IS scored, and a truthful one earns
     // the trust that lets the next hint act.
     QosGuardian g(predictiveParams());
     Region r = makeRegion(4);
@@ -434,8 +444,9 @@ TEST(Guardian, UnprovenTenantScoresButNeverActs)
 
 TEST(Guardian, TrustedGrowHintPreGrantsBeforeTheShift)
 {
-    QosGuardian g(predictiveParams(/*initialTrust=*/0.9));
+    QosGuardian g(predictiveParams());
     Region r = makeRegion(4);
+    earnTrust(g, r);
     FakeBroker broker;
     // Shift due within one nominal period: the pre-grant fires now.
     EXPECT_TRUE(g.acceptHint(hint(r, 12, /*lead=*/5000), r));
@@ -451,8 +462,9 @@ TEST(Guardian, TrustedGrowHintPreGrantsBeforeTheShift)
 
 TEST(Guardian, GrowHintWaitsUntilTheLastWakeupBeforeDue)
 {
-    QosGuardian g(predictiveParams(/*initialTrust=*/0.9));
+    QosGuardian g(predictiveParams());
     Region r = makeRegion(4);
+    earnTrust(g, r);
     FakeBroker broker;
     // Due two nominal periods out: acting now would be a wakeup early.
     EXPECT_TRUE(g.acceptHint(hint(r, 12, /*lead=*/50'000), r));
@@ -466,8 +478,9 @@ TEST(Guardian, GrowHintWaitsUntilTheLastWakeupBeforeDue)
 
 TEST(Guardian, PreWithdrawNeedsPoolPressureAndWaitsForDue)
 {
-    QosGuardian g(predictiveParams(/*initialTrust=*/0.9));
+    QosGuardian g(predictiveParams());
     Region r = makeRegion(12);
+    earnTrust(g, r);
     FakeBroker broker;
     // Uncontended pool: the shrink is promised but molecules stay warm
     // where they are; reactive control reclaims them at its own pace.
@@ -477,8 +490,9 @@ TEST(Guardian, PreWithdrawNeedsPoolPressureAndWaitsForDue)
 
     // Under pressure the promised molecules are handed back — but only
     // once the shift is due, never while the departing phase runs.
-    QosGuardian g2(predictiveParams(/*initialTrust=*/0.9));
+    QosGuardian g2(predictiveParams());
     Region r2 = makeRegion(12);
+    earnTrust(g2, r2);
     for (u32 i = 0; i < 20; ++i)
         g2.noteGrant(r2.asid(), 8, 0);
     EXPECT_TRUE(g2.acceptHint(hint(r2, 2, /*lead=*/4000), r2));
@@ -493,8 +507,9 @@ TEST(Guardian, PreWithdrawNeedsPoolPressureAndWaitsForDue)
 
 TEST(Guardian, OscillationCooldownBlocksPreGrantAndKeepsWideBand)
 {
-    QosGuardian g(predictiveParams(/*initialTrust=*/0.9));
+    QosGuardian g(predictiveParams());
     Region r = makeRegion(4);
+    earnTrust(g, r);
     // Trip the oscillation detector: alternating-sign actions.
     g.afterDecision(r, +4, 0.30, 0.1);
     g.afterDecision(r, -4, 0.05, 0.1);
@@ -515,8 +530,9 @@ TEST(Guardian, FlipGuardNotReversedByReactiveAfterPreGrant)
 {
     // A pre-grant counts as an action for the reactive flip-guard: the
     // controller cannot immediately withdraw what the hint just moved.
-    QosGuardian g(predictiveParams(/*initialTrust=*/0.9));
+    QosGuardian g(predictiveParams());
     Region r = makeRegion(4);
+    earnTrust(g, r);
     FakeBroker broker;
     EXPECT_TRUE(g.acceptHint(hint(r, 12, 1000), r));
     ASSERT_GT(g.predictiveStep(r, broker), 0);
@@ -543,7 +559,7 @@ TEST(Guardian, LyingTenantQuarantinedThenRestoredOnProbation)
     EXPECT_EQ(g.predictiveStep(r, broker), 0);
     EXPECT_EQ(r.size(), 4u);
 
-    // Probation: truthful forecasts re-earn trust past restoreAbove
+    // Probation: truthful forecasts re-earn trust past kHintRestoreAbove
     // while the quarantine epochs tick; then service resumes.
     scoreArmedHint(g, r, 0.30);
     EXPECT_FALSE(g.acceptHint(hint(r, 12), r)); // still quarantined
@@ -574,11 +590,12 @@ TEST(Guardian, RestoreFloorRacesPreGrantWithoutOverProvisioning)
     // restoreFloor tops it up to the floor first, and the predictive
     // step then only adds what is still missing toward the promised
     // target — the two paths never double-provision past the target.
-    const MolecularCacheParams p = predictiveParams(0.9);
+    const MolecularCacheParams p = predictiveParams();
     const Resizer resizer(p);
     QosGuardian g(p);
     FakeBroker broker;
     Region r = makeRegion(2, /*floor=*/4);
+    earnTrust(g, r);
     EXPECT_TRUE(g.acceptHint(hint(r, 8, 1000), r));
     feedInterval(r, 1000, 300, 0);
     resizer.resizeRegion(r, 0.1, broker, &g);
@@ -593,11 +610,12 @@ TEST(Guardian, PreWithdrawClampedAtTheCapacityFloor)
     // Even a trusted, due, pressure-justified pre-withdraw cannot pull
     // a region below its floor (Resizer::predictivePulse runs through
     // the guarded broker).
-    const MolecularCacheParams p = predictiveParams(0.9);
+    const MolecularCacheParams p = predictiveParams();
     const Resizer resizer(p);
     QosGuardian g(p);
     FakeBroker broker;
     Region r = makeRegion(6, /*floor=*/4);
+    earnTrust(g, r);
     for (u32 i = 0; i < 20; ++i)
         g.noteGrant(r.asid(), 8, 0);
     EXPECT_TRUE(g.acceptHint(hint(r, 1), r));
@@ -639,7 +657,7 @@ TEST(Guardian, SummaryAggregatesAcrossRegions)
              8_KiB);
     b.addMolecule(MoleculeId{50}, TileId{0}, true);
     b.capacityFloor = 2;
-    for (u32 i = 0; i < params().guardian.feasibilityEpochs; ++i)
+    for (u32 i = 0; i < kGuardianFeasibilityEpochs; ++i)
         g.afterDecision(a, 0, 0.9, 0.1); // infeasible
     g.clampWithdraw(b, 1);               // floor hit on the other region
     const GuardianSummary s = g.summary();

@@ -51,7 +51,6 @@ TEST(Migration, SameClusterKeepsContents)
     const AccessResult r = cache.access(read(0x4000));
     EXPECT_TRUE(r.hit);
     EXPECT_EQ(r.level, 1u);
-    EXPECT_GT(cache.ulmo(ClusterId{0}).remoteHits(), 0u);
 }
 
 TEST(Migration, CrossClusterRebuildsPartition)

@@ -123,15 +123,15 @@ TEST(MolecularCache, RemoteTileHitViaUlmo)
     cache.registerApplication(Asid{0}, 0.1, ClusterId{0}, 0, 1);
     // Touch more lines than the home tile holds to force remote grants.
     // Home tile: 8 molecules = 1024 lines. Resizing needs miss pressure.
+    u64 remote_hits = 0;
     for (u32 pass = 0; pass < 3; ++pass)
         for (Addr a = 0; a < 3000; ++a)
-            cache.access(read(a * 64));
+            if (cache.access(read(a * 64)).level == 1)
+                ++remote_hits;
     const auto &region = cache.region(Asid{0});
     EXPECT_GT(region.byTile().size(), 1u)
         << "region never grew past its home tile";
-    EXPECT_GT(cache.ulmo(ClusterId{0}).donations(), 0u);
-    EXPECT_GT(cache.ulmo(ClusterId{0}).tileMisses(), 0u);
-    EXPECT_GT(cache.ulmo(ClusterId{0}).remoteHits(), 0u);
+    EXPECT_GT(remote_hits, 0u);
 }
 
 TEST(MolecularCache, WritebackOnDirtyReplacement)
@@ -210,16 +210,13 @@ TEST(MolecularCache, CrossClusterInvalidationOnSharedAddress)
     cache.access(write(0x3000, 0));
     EXPECT_EQ(cache.directory().holderCount(LineAddr{0x3000}), 1u);
     EXPECT_FALSE(cache.access(read(0x3000, 1)).hit);
-    EXPECT_GT(cache.ulmo(ClusterId{1}).invalidationsApplied(), 0u);
-    // The invalidation crossed the inter-cluster interconnect.
-    EXPECT_GT(cache.noc().stats().messages, 0u);
-    EXPECT_GT(cache.noc().stats().energyNj, 0.0);
+    EXPECT_GT(cache.directory().stats().invalidationsSent, 0u);
 }
 
-TEST(MolecularCache, NocQuietWithoutSharing)
+TEST(MolecularCache, NoInvalidationsWithoutSharing)
 {
-    // Disjoint address spaces: the coherence interconnect carries
-    // nothing (the paper's workloads run in this regime).
+    // Disjoint address spaces: no coherence traffic at all (the
+    // paper's workloads run in this regime).
     MolecularCache cache(smallParams());
     cache.registerApplication(Asid{0}, 0.1, ClusterId{0}, 0, 1);
     cache.registerApplication(Asid{1}, 0.1, ClusterId{1}, 0, 1);
@@ -227,7 +224,7 @@ TEST(MolecularCache, NocQuietWithoutSharing)
         cache.access(write(a * 64, 0));
         cache.access(write((a * 64) | (1ull << 40), 1));
     }
-    EXPECT_EQ(cache.noc().stats().messages, 0u);
+    EXPECT_EQ(cache.directory().stats().invalidationsSent, 0u);
 }
 
 TEST(MolecularCache, EnergyAccountingMonotone)

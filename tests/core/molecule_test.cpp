@@ -132,17 +132,6 @@ TEST(Molecule, ReleaseCountsDirtyLines)
     EXPECT_EQ(m.validLines(), 0u);
 }
 
-TEST(Molecule, MissCounter)
-{
-    Molecule m = makeMol();
-    m.assignTo(Asid{1});
-    m.noteMiss();
-    m.noteMiss();
-    EXPECT_EQ(m.missCount(), 2u);
-    m.resetMissCount();
-    EXPECT_EQ(m.missCount(), 0u);
-}
-
 TEST(Molecule, ResidentLinesRoundTrip)
 {
     Molecule m = makeMol();

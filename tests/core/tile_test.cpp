@@ -111,14 +111,6 @@ TEST(Tile, LineMajorSlotLayout)
     EXPECT_TRUE(t.molecule(b).lookup(9 * span + 7 * 64));
 }
 
-TEST(Tile, PortAccounting)
-{
-    Tile t = makeTile();
-    t.notePortAccess();
-    t.notePortAccess();
-    EXPECT_EQ(t.portAccesses(), 2u);
-}
-
 // These deaths come from contracts, which a pure Release build
 // compiles out (Contract.CompiledOutChecksDoNotEvaluate pins that).
 #if MOLCACHE_CONTRACTS_ACTIVE

@@ -109,13 +109,13 @@ TEST(Adversarial, HogGoalFlaggedInfeasibleWithShortfall)
 
 TEST(Adversarial, SignFlipsStayWithinConfiguredBound)
 {
-    const u32 bound = drill().params.guardian.maxSignFlips;
     for (size_t i = 0; i < kMix.size(); ++i) {
         const AppSummary *app =
             drill().result.qos.find(Asid{static_cast<u16>(i)});
         ASSERT_NE(app, nullptr);
         ASSERT_TRUE(app->guardian.has_value());
-        EXPECT_LE(app->guardian->maxSignFlips, bound) << app->label;
+        EXPECT_LE(app->guardian->maxSignFlips, kGuardianMaxSignFlips)
+            << app->label;
     }
 }
 
@@ -136,8 +136,7 @@ TEST(Adversarial, NothingStuckPastTheWatchdogBudget)
     EXPECT_FALSE(flip.stuck);
     // The phase-flipper crossed its goal at least once and re-converged
     // within the watchdog budget after each inversion.
-    EXPECT_LE(flip.maxEpochsToGoal,
-              drill().params.guardian.watchdogEpochs);
+    EXPECT_LE(flip.maxEpochsToGoal, kGuardianWatchdogEpochs);
 }
 
 TEST(Adversarial, WellBehavedVictimStaysFeasible)
@@ -175,7 +174,7 @@ runPredictiveDrill(bool predictive, bool hinted, bool invert)
     p.resizeScheme = ResizeScheme::PerAppAdaptive;
     p.guardian.enabled = true;
     p.guardian.floorMolecules = kFloor;
-    p.guardian.predictive.enabled = predictive;
+    p.guardian.predictive = predictive;
 
     GoalSet goals;
     MolecularCache cache(p);
@@ -261,9 +260,7 @@ TEST(Adversarial, LyingTenantEndsQuarantinedInTelemetry)
     ASSERT_TRUE(liar->guardian.has_value());
     EXPECT_TRUE(liar->guardian->quarantined);
     EXPECT_GE(liar->guardian->quarantineEvents, 1u);
-    const MolecularCacheParams defaults;
-    EXPECT_LT(liar->guardian->trust,
-              defaults.guardian.predictive.quarantineBelow);
+    EXPECT_LT(liar->guardian->trust, kHintQuarantineBelow);
     EXPECT_GE(r.guardian.quarantinedRegions, 1u);
     EXPECT_LE(r.guardian.minTrust, liar->guardian->trust);
 }

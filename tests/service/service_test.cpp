@@ -11,7 +11,6 @@
 
 #include "service/service.hpp"
 #include "service/service_json.hpp"
-#include "util/config_keys.hpp"
 
 #include <sstream>
 
@@ -23,7 +22,7 @@ mc::ServiceOptions
 manualOptions()
 {
     mc::ServiceOptions options;
-    options.withShards(2).withEpochMillis(0).withAuditEpochs(1);
+    options.withShards(2).withEpochMillis(0);
     return options;
 }
 
@@ -32,8 +31,7 @@ TEST(ServiceOptionsTest, SetterRecordsCallSiteOnBadArgument)
     mc::ServiceOptions options;
     options.withShards(0);
     ASSERT_EQ(options.errors().size(), 1u);
-    // The recorded violation carries THIS file and names the knob the
-    // way a config file would spell it.
+    // The recorded violation carries THIS file and names the knob.
     EXPECT_NE(options.errors()[0].find("service_test.cpp"),
               std::string::npos)
         << options.errors()[0];
@@ -43,9 +41,9 @@ TEST(ServiceOptionsTest, SetterRecordsCallSiteOnBadArgument)
 TEST(ServiceOptionsDeathTest, ValidateIsFatalOnRecordedErrors)
 {
     mc::ServiceOptions options;
-    options.withDefaultGoal(1.5);
+    options.withRecoverySlack(1.5);
     EXPECT_EXIT(options.validate(), ::testing::ExitedWithCode(1),
-                "service.default_goal");
+                "service.recovery_slack");
 }
 
 TEST(ServiceOptionsDeathTest, ValidateRejectsMultiClusterShard)
@@ -54,36 +52,6 @@ TEST(ServiceOptionsDeathTest, ValidateRejectsMultiClusterShard)
     options.cache.clusters = 2; // a shard must be exactly one cluster
     EXPECT_EXIT(options.validate(), ::testing::ExitedWithCode(1),
                 "cluster");
-}
-
-TEST(ServiceOptionsTest, FromConfigReadsRegisteredKeys)
-{
-    const Config cfg = Config::fromTokens(
-        {"service.shards=4", "service.epoch_ms=0", "service.audit_epochs=3",
-         "service.max_tenants=16", "service.default_goal=0.25",
-         "service.default_floor=2", "service.guardian=0"});
-    // Every key the builder consumes is in the registry, so a config
-    // carrying only service.* keys passes the unknown-key audit.
-    EXPECT_EQ(cfg.warnUnknownKeys(knownConfigKeyNames()), 0u);
-
-    const mc::ServiceOptions options = mc::ServiceOptions::fromConfig(cfg);
-    EXPECT_TRUE(options.errors().empty());
-    EXPECT_EQ(options.shards, 4u);
-    EXPECT_EQ(options.epochMillis, 0u);
-    EXPECT_EQ(options.auditEpochs, 3u);
-    EXPECT_EQ(options.maxTenants, 16u);
-    EXPECT_DOUBLE_EQ(options.defaultGoal, 0.25);
-    EXPECT_EQ(options.defaultFloor, 2u);
-    EXPECT_FALSE(options.cache.guardian.enabled);
-}
-
-TEST(ServiceOptionsTest, FromConfigRecordsOutOfRangeValues)
-{
-    const Config cfg = Config::fromTokens({"service.default_goal=7.0"});
-    const mc::ServiceOptions options = mc::ServiceOptions::fromConfig(cfg);
-    ASSERT_FALSE(options.errors().empty());
-    EXPECT_NE(options.errors()[0].find("service.default_goal"),
-              std::string::npos);
 }
 
 TEST(ServiceTest, AttachAccessDetachDrainLifecycle)
@@ -273,17 +241,18 @@ TEST(ServiceTest, SummaryMergesShardCounters)
     EXPECT_EQ(summary.accesses, 128u);
 }
 
-TEST(ServiceTest, AuditEpochsThrottlesTheChecker)
+TEST(ServiceTest, ZeroGoalTakesTheCacheDefault)
 {
     mc::ServiceOptions options = manualOptions();
-    options.withAuditEpochs(2); // audit every second epoch only
+    options.cache.defaultMissRateGoal = 0.2;
     mc::Service service(options);
+    mc::TenantHandle tenant = service.attach(mc::TenantSpec{}); // goal 0
+    ASSERT_TRUE(tenant);
 
-    service.runEpochNow(); // epoch 1: no audit
-    const u64 afterFirst = service.summary().invariantChecksRun;
-    EXPECT_EQ(afterFirst, 0u);
-    service.runEpochNow(); // epoch 2: audit runs
-    EXPECT_GT(service.summary().invariantChecksRun, 0u);
+    service.runEpochNow();
+    const mc::ServiceSummary summary = service.summary();
+    ASSERT_EQ(summary.tenants.size(), 1u);
+    EXPECT_DOUBLE_EQ(summary.tenants[0].goal, 0.2);
 }
 
 TEST(ServiceTest, ControlThreadPacesEpochsByItself)

@@ -26,7 +26,7 @@ main(int argc, char **argv)
     CliParser cli("ablate_initial",
                   "Ablation: initial partition allocation policy");
     bench::addCommonOptions(cli, kPaperTraceLength);
-    bench::addSweepOptions(cli);
+    bench::addSweepFlags(cli);
     cli.addOption("size", "4M", "total molecular cache size");
     cli.parse(argc, argv);
     const u64 refs = static_cast<u64>(cli.integer("refs"));

@@ -39,7 +39,7 @@ main(int argc, char **argv)
     CliParser cli("ablate_linesize",
                   "Ablation: region line-size multiple (64/128/256B units)");
     bench::addCommonOptions(cli, 1'000'000);
-    bench::addSweepOptions(cli);
+    bench::addSweepFlags(cli);
     cli.parse(argc, argv);
     const u64 refs = static_cast<u64>(cli.integer("refs"));
     const u64 seed = static_cast<u64>(cli.integer("seed"));

@@ -26,7 +26,7 @@ main(int argc, char **argv)
 {
     CliParser cli("ablate_molsize", "Ablation: molecule size sweep");
     bench::addCommonOptions(cli, kPaperTraceLength);
-    bench::addSweepOptions(cli);
+    bench::addSweepFlags(cli);
     cli.parse(argc, argv);
     const u64 refs = static_cast<u64>(cli.integer("refs"));
     const u64 seed = static_cast<u64>(cli.integer("seed"));

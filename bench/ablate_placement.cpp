@@ -73,7 +73,7 @@ main(int argc, char **argv)
     CliParser cli("ablate_placement",
                   "Ablation: Random vs Randy vs LRU-Direct placement");
     bench::addCommonOptions(cli, kPaperTraceLength);
-    bench::addSweepOptions(cli);
+    bench::addSweepFlags(cli);
     cli.parse(argc, argv);
     const u64 refs = static_cast<u64>(cli.integer("refs"));
     const u64 seed = static_cast<u64>(cli.integer("seed"));

@@ -48,7 +48,7 @@ main(int argc, char **argv)
                   "Ablation: constant vs global-adaptive vs per-app "
                   "adaptive resize scheduling");
     bench::addCommonOptions(cli, kPaperTraceLength);
-    bench::addSweepOptions(cli);
+    bench::addSweepFlags(cli);
     cli.parse(argc, argv);
     const u64 refs = static_cast<u64>(cli.integer("refs"));
     const u64 seed = static_cast<u64>(cli.integer("seed"));

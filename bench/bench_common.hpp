@@ -2,8 +2,8 @@
  * @file
  * Shared helpers for the table/figure reproduction binaries.
  *
- * Every sweep-based bench accepts the same execution options
- * (--threads, --json, --json-timing) and funnels through
+ * Every sweep-based bench accepts the same execution flags
+ * (--threads, --json) and funnels through
  * bench::runSweep, so `<bench> --threads 8 --json BENCH_sweep.json`
  * works uniformly and every emitted report carries the same schema.
  */
@@ -30,18 +30,15 @@ addCommonOptions(CliParser &cli, u64 defaultRefs)
     cli.addFlag("csv", "emit CSV instead of an aligned table");
 }
 
-/** Execution options for benches that run through the sweep engine. */
+/** Execution flags for benches that run through the sweep engine. */
 inline void
-addSweepOptions(CliParser &cli)
+addSweepFlags(CliParser &cli)
 {
     cli.addOption("threads", "0",
                   "sweep worker threads (0 = hardware concurrency)");
     cli.addOption("json", "",
                   "write the machine-readable sweep report here "
                   "(convention: BENCH_sweep.json)");
-    cli.addFlag("json-timing",
-                "include the run-to-run-varying timing section in the "
-                "JSON report (breaks byte-for-byte determinism)");
 }
 
 /**
@@ -54,9 +51,8 @@ inline SweepReport
 runSweep(const CliParser &cli, const SweepSpec &spec,
          bool appendSweepName = false)
 {
-    SweepOptions options;
-    options.threads = static_cast<u32>(cli.integer("threads"));
-    const SweepReport report = SweepRunner(options).run(spec);
+    const SweepReport report = molcache::runSweep(
+        spec, static_cast<u32>(cli.integer("threads")));
 
     std::string path = cli.str("json");
     if (!path.empty()) {
@@ -68,7 +64,7 @@ runSweep(const CliParser &cli, const SweepSpec &spec,
             else
                 path.insert(dot, tag);
         }
-        report.writeFile(path, cli.flag("json-timing"));
+        report.writeFile(path);
         std::fprintf(stderr, "wrote %s (%zu points, %u threads)\n",
                      path.c_str(), report.points.size(), report.threads);
     }

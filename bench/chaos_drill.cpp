@@ -320,8 +320,9 @@ main(int argc, char **argv)
     Board board;
     bool quiet = false;
     {
-        WorkStealingPool pool(cfg.workers + 1);
-        pool.forEach(cfg.workers + 1, [&](u64 job) {
+        // Job 0 is the storm driver, jobs 1..N the access workers;
+        // one thread per job gives each long-running job its own.
+        parallelFor(cfg.workers + 1, cfg.workers + 1, [&](u64 job) {
             if (job == 0)
                 runDriver(service, board, cfg, &quiet);
             else

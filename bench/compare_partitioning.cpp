@@ -40,7 +40,7 @@ main(int argc, char **argv)
                   "molecular vs way-partitioned (column caching) vs "
                   "unpartitioned shared cache");
     bench::addCommonOptions(cli, kPaperTraceLength);
-    bench::addSweepOptions(cli);
+    bench::addSweepFlags(cli);
     cli.addOption("size", "4M", "cache size for all three schemes");
     cli.addOption("assoc", "8", "associativity of the traditional schemes");
     cli.parse(argc, argv);

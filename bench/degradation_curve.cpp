@@ -44,7 +44,7 @@ main(int argc, char **argv)
                   "Graceful degradation: average goal deviation vs. "
                   "fraction of hard-faulted molecules");
     bench::addCommonOptions(cli, kPaperTraceLength);
-    bench::addSweepOptions(cli);
+    bench::addSweepFlags(cli);
     cli.addOption("size", "2M", "total cache size");
     cli.parse(argc, argv);
     const u64 refs = static_cast<u64>(cli.integer("refs"));

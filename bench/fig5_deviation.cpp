@@ -14,7 +14,7 @@
  * molecules are available — at 4 MB in graph A and 2 MB in graph B.
  *
  * All 48 points (6 cache kinds x 4 sizes x 2 goal graphs) run as one
- * SweepSpec on the work-stealing pool; the two graphs are the sweep's
+ * SweepSpec across threads; the two graphs are the sweep's
  * workload axis, each carrying its own GoalSet.
  */
 
@@ -49,7 +49,7 @@ main(int argc, char **argv)
                   "Figure 5: average deviation from the miss-rate goal vs "
                   "cache size");
     bench::addCommonOptions(cli, kPaperTraceLength);
-    bench::addSweepOptions(cli);
+    bench::addSweepFlags(cli);
     cli.addOption("goal", "0.1", "per-application miss-rate goal");
     cli.parse(argc, argv);
     const u64 refs = static_cast<u64>(cli.integer("refs"));

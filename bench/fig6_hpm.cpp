@@ -52,7 +52,7 @@ main(int argc, char **argv)
     CliParser cli("fig6_hpm",
                   "Figure 6: hit-per-molecule, Random vs Randy, 12-app mix");
     bench::addCommonOptions(cli, kPaperTraceLength);
-    bench::addSweepOptions(cli);
+    bench::addSweepFlags(cli);
     cli.parse(argc, argv);
     const u64 refs = static_cast<u64>(cli.integer("refs"));
     const u64 seed = static_cast<u64>(cli.integer("seed"));

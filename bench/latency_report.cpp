@@ -36,7 +36,7 @@ main(int argc, char **argv)
                   "AMAT: the cost of the ASID stage and hierarchical "
                   "lookup vs what partitioning buys back");
     bench::addCommonOptions(cli, 2'000'000);
-    bench::addSweepOptions(cli);
+    bench::addSweepFlags(cli);
     cli.addOption("size", "4M", "cache size for all schemes");
     cli.parse(argc, argv);
     const u64 refs = static_cast<u64>(cli.integer("refs"));

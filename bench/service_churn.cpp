@@ -51,12 +51,6 @@ struct DrillConfig
     /** Drive bursts through Service::accessBatch instead of per-ref
      * access(); same addresses, same burst sizes. */
     bool batch = false;
-    /** Chaos storm seed (0 = chaos off; the default keeps the drill's
-     * output byte-stable). */
-    u64 faults = 0;
-    /** Serve through accessChecked() with bounded retry/backoff
-     * instead of plain access(). */
-    bool retryBackoff = false;
     ChurnParams churn;
 };
 
@@ -81,27 +75,6 @@ struct Board
     std::atomic<u64> accesses{0};
     std::atomic<u64> contractViolations{0};
 };
-
-/** One reference through accessChecked() with bounded retry/backoff
- * (--retry-backoff): an Overloaded verdict backs off (scaled by the
- * suggested retry-after, capped) and retries at most three times
- * before dropping the reference. */
-void
-accessWithBackoff(mc::Service &service, const mc::TenantHandle &handle,
-                  Addr addr, bool isWrite, u64 epochMillis)
-{
-    for (u32 attempt = 0;; ++attempt) {
-        const mc::AccessOutcome outcome =
-            service.accessChecked(handle, addr, isWrite);
-        if (outcome.status == mc::AccessStatus::Ok || attempt >= 3)
-            return;
-        const u64 micros =
-            std::min<u64>(outcome.retryAfterEpochs * epochMillis * 1000u,
-                          2000u << attempt);
-        std::this_thread::sleep_for(
-            std::chrono::microseconds(micros != 0 ? micros : 100u));
-    }
-}
 
 void
 runWorker(mc::Service &service, Board &board, u64 seed,
@@ -142,12 +115,6 @@ runWorker(mc::Service &service, Board &board, u64 seed,
             }
             service.accessBatch(handle, {refs.data(), refs.size()},
                                 {results.data(), results.size()});
-        } else if (cfg.retryBackoff) {
-            for (; burst < 64; ++burst)
-                accessWithBackoff(service, handle,
-                                  churnAddress(profile, *rng),
-                                  churnIsWrite(profile, *rng),
-                                  cfg.epochMillis);
         } else {
             for (; burst < 64; ++burst)
                 service.access(handle, churnAddress(profile, *rng),
@@ -255,12 +222,6 @@ main(int argc, char **argv)
     cli.addFlag("batch",
                 "drive worker bursts through Service::accessBatch "
                 "(one shard lock per burst)");
-    cli.addOption("faults", "0",
-                  "chaos storm seed; 0 (default) keeps chaos off and "
-                  "the output byte-stable");
-    cli.addFlag("retry-backoff",
-                "serve through accessChecked() with bounded "
-                "retry/backoff instead of plain access()");
     cli.addFlag("smoke",
                 "CI-sized run: same dynamics, ~10x shorter, exit "
                 "status is the sanity gate");
@@ -274,8 +235,6 @@ main(int argc, char **argv)
     cfg.epochMillis = static_cast<u64>(cli.integer("epoch-ms"));
     cfg.maxTenants = static_cast<u32>(cli.integer("max-tenants"));
     cfg.batch = cli.flag("batch");
-    cfg.faults = static_cast<u64>(cli.integer("faults"));
-    cfg.retryBackoff = cli.flag("retry-backoff");
     if (cli.flag("smoke")) {
         cfg.totalRefs = std::min<u64>(cfg.totalRefs, 200'000);
         cfg.churn.meanInterarrival = 4'000;
@@ -290,41 +249,21 @@ main(int argc, char **argv)
         .withMaxTenants(cfg.maxTenants)
         .withGuardian(true);
     options.cache.seed = cfg.seed;
-    if (cfg.faults != 0) {
-        // A modest storm (chaos_drill runs the full one): enough to
-        // exercise quarantine/remap and the overload watermarks.
-        mc::ChaosSpec chaos;
-        chaos.seed = cfg.faults;
-        chaos.windowStart = 4;
-        chaos.windowEnd = 40;
-        chaos.transientFlips = 4;
-        chaos.hardFaults = 6;
-        chaos.shardOutages = 1;
-        chaos.shardStalls = 1;
-        options.withChaos(chaos)
-            .withAdmitWatermarks(0.95, 0.85)
-            .withRecoverySlack(0.25);
-    }
     mc::Service service(options);
 
     bench::banner("molcached service churn drill");
     std::printf("workers %u, shards %u, target %llu accesses, epoch %llu "
-                "ms, admission cap %u%s%s\n",
+                "ms, admission cap %u%s\n",
                 cfg.workers, cfg.shards,
                 static_cast<unsigned long long>(cfg.totalRefs),
                 static_cast<unsigned long long>(cfg.epochMillis),
-                cfg.maxTenants, cfg.batch ? ", batched bursts" : "",
-                cfg.retryBackoff ? ", retry/backoff" : "");
-    if (cfg.faults != 0)
-        std::printf("chaos storm on (seed %llu)\n",
-                    static_cast<unsigned long long>(cfg.faults));
+                cfg.maxTenants, cfg.batch ? ", batched bursts" : "");
 
     Board board;
     {
-        // Job 0 is the churn driver, jobs 1..N the access workers; the
-        // pool gives every long-running job its own thread.
-        WorkStealingPool pool(cfg.workers + 1);
-        pool.forEach(cfg.workers + 1, [&](u64 job) {
+        // Job 0 is the churn driver, jobs 1..N the access workers;
+        // one thread per job gives each long-running job its own.
+        parallelFor(cfg.workers + 1, cfg.workers + 1, [&](u64 job) {
             if (job == 0)
                 runDriver(service, board, cfg);
             else
@@ -360,26 +299,6 @@ main(int argc, char **argv)
                std::to_string(summary.invariantViolations)});
     table.row({"contract violations",
                std::to_string(summary.contractViolations)});
-    if (cfg.faults != 0) {
-        // Resilience rows only when the storm ran, so a fault-free
-        // drill's output stays byte-identical.
-        const mc::ServiceResilienceSummary &res = summary.resilience;
-        table.row({"chaos events fired",
-                   std::to_string(res.chaosTransientFlips +
-                                  res.chaosHardFaults +
-                                  res.chaosShardOutages +
-                                  res.chaosShardStalls)});
-        table.row({"shards quarantined",
-                   std::to_string(res.shardsQuarantined)});
-        table.row({"tenants remapped", std::to_string(res.tenantsRemapped)});
-        table.row({"remap invalidations",
-                   std::to_string(res.remapInvalidations)});
-        table.row({"accesses shed", std::to_string(res.accessesShed)});
-        table.row({"max epochs to drain",
-                   std::to_string(res.maxEpochsToDrain)});
-        table.row({"max epochs back to goal",
-                   std::to_string(res.maxEpochsBackToGoal)});
-    }
     if (cli.flag("csv"))
         table.printCsv(std::cout);
     else

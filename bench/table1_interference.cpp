@@ -65,7 +65,7 @@ main(int argc, char **argv)
     CliParser cli("table1_interference",
                   "Table 1: miss-rate interference on a shared 1MB 4-way L2");
     bench::addCommonOptions(cli, kPaperTraceLength);
-    bench::addSweepOptions(cli);
+    bench::addSweepFlags(cli);
     cli.parse(argc, argv);
     const u64 refs = static_cast<u64>(cli.integer("refs"));
     const u64 seed = static_cast<u64>(cli.integer("seed"));

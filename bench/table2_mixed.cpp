@@ -38,7 +38,7 @@ main(int argc, char **argv)
                   "Table 2: average deviation, 12-app mixed workload, "
                   "goal 25%");
     bench::addCommonOptions(cli, kPaperTraceLength);
-    bench::addSweepOptions(cli);
+    bench::addSweepFlags(cli);
     cli.parse(argc, argv);
     const u64 refs = static_cast<u64>(cli.integer("refs"));
     const u64 seed = static_cast<u64>(cli.integer("seed"));

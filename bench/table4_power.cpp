@@ -46,7 +46,7 @@ main(int argc, char **argv)
                   "Table 4: power of 8MB traditional caches vs the 8MB "
                   "molecular cache at 70nm");
     bench::addCommonOptions(cli, 1'000'000);
-    bench::addSweepOptions(cli);
+    bench::addSweepFlags(cli);
     cli.parse(argc, argv);
     const u64 refs = static_cast<u64>(cli.integer("refs"));
     const u64 seed = static_cast<u64>(cli.integer("seed"));

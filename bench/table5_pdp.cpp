@@ -34,7 +34,7 @@ main(int argc, char **argv)
     CliParser cli("table5_pdp",
                   "Table 5: power-deviation product, mixed workload");
     bench::addCommonOptions(cli, kPaperTraceLength);
-    bench::addSweepOptions(cli);
+    bench::addSweepFlags(cli);
     cli.parse(argc, argv);
     const u64 refs = static_cast<u64>(cli.integer("refs"));
     const u64 seed = static_cast<u64>(cli.integer("seed"));

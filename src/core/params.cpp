@@ -84,6 +84,9 @@ MolecularCacheParams::validate() const
         fatal("bad resize period clamp");
     if (hardFaultThreshold == 0)
         fatal("hardFaultThreshold must be >= 1");
+    if (!(defaultMissRateGoal > 0.0 && defaultMissRateGoal <= 1.0))
+        fatal("defaultMissRateGoal must be in (0, 1], got ",
+              defaultMissRateGoal);
 }
 
 } // namespace molcache

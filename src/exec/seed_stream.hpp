@@ -1,12 +1,11 @@
 /**
  * @file
- * Deterministic seed derivation for parallel sweeps.
+ * Deterministic seed derivation for parallel work.
  *
- * Every sweep job owns a private RNG stream derived from (base seed,
- * job/replicate index) so N-thread and 1-thread executions of the same
- * SweepSpec are bit-identical: no job ever shares generator state with
- * another, and the derivation is pure arithmetic — independent of
- * scheduling order.
+ * Each of a run's parallel parts (a service shard, a drill thread) owns
+ * a private RNG stream derived from (base seed, index): no part ever
+ * shares generator state with another, and the derivation is pure
+ * arithmetic — independent of scheduling order.
  *
  * The mixer is SplitMix64 (Steele, Lea & Flood 2014), the standard
  * stream-splitting finalizer: invertible, full 64-bit avalanche, so
@@ -31,7 +30,7 @@ splitmix64(u64 x)
 }
 
 /**
- * Seed for replicate @p index of a sweep rooted at @p baseSeed.
+ * Seed for part @p index of a run rooted at @p baseSeed.
  * Counter-based: the mixed base selects a stream and the index steps
  * along it by the golden gamma, exactly how SplitMix64 itself advances.
  * The combination is asymmetric in (base, index) — an XOR of two mixed

@@ -4,13 +4,11 @@
 #include <fstream>
 
 #include "core/sim_access.hpp"
-#include "exec/seed_stream.hpp"
 #include "exec/thread_pool.hpp"
 #include "sim/experiment.hpp"
 #include "sim/result_json.hpp"
 #include "stats/json.hpp"
 #include "util/logging.hpp"
-#include "util/sync.hpp"
 
 namespace molcache {
 
@@ -21,14 +19,6 @@ template <class... Ts> struct Overloaded : Ts...
     using Ts::operator()...;
 };
 template <class... Ts> Overloaded(Ts...) -> Overloaded<Ts...>;
-
-double
-secondsSince(std::chrono::steady_clock::time_point start)
-{
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         start)
-        .count();
-}
 
 } // namespace
 
@@ -62,18 +52,10 @@ SweepSpec::molecular(const std::string &label, const MolecularCacheParams &p,
 
 SweepSpec &
 SweepSpec::workload(const std::string &label,
-                    const std::vector<std::string> &profiles, MixPolicy mix)
-{
-    workloads_.push_back({label, profiles, mix, std::nullopt});
-    return *this;
-}
-
-SweepSpec &
-SweepSpec::workload(const std::string &label,
                     const std::vector<std::string> &profiles,
-                    const GoalSet &goals, MixPolicy mix)
+                    const std::optional<GoalSet> &goals)
 {
-    workloads_.push_back({label, profiles, mix, goals});
+    workloads_.push_back({label, profiles, goals});
     return *this;
 }
 
@@ -81,16 +63,6 @@ SweepSpec &
 SweepSpec::seeds(const std::vector<u64> &s)
 {
     seeds_ = s;
-    return *this;
-}
-
-SweepSpec &
-SweepSpec::replicates(u32 n, u64 baseSeed)
-{
-    seeds_.clear();
-    seeds_.reserve(n);
-    for (u32 i = 0; i < n; ++i)
-        seeds_.push_back(deriveJobSeed(baseSeed, i));
     return *this;
 }
 
@@ -112,13 +84,6 @@ SweepSpec &
 SweepSpec::references(u64 refs)
 {
     totalReferences_ = refs;
-    return *this;
-}
-
-SweepSpec &
-SweepSpec::warmup(u64 refs)
-{
-    warmup_ = refs;
     return *this;
 }
 
@@ -154,9 +119,7 @@ SweepSpec::expand() const
                 job.faults = m.faults;
                 job.registrationGoal = registrationGoal_;
                 job.options.goals = w.goals ? *w.goals : goals_;
-                job.options.warmup = warmup_;
                 job.options.totalReferences = totalReferences_;
-                job.options.mix = w.mix;
                 job.options.seed = seed;
                 jobs.push_back(std::move(job));
             }
@@ -226,31 +189,11 @@ runSimJob(const SimJob &job, const InspectFn &inspect)
     out.workloadLabel = job.workloadLabel;
     out.seed = job.options.seed;
 
-    const auto start = std::chrono::steady_clock::now();
     auto model = buildJobModel(job);
     out.result = runWorkload(job.profiles, *model, job.options);
-    out.wallSeconds = secondsSince(start);
     if (inspect)
         inspect(job, *model, out.extra);
     return out;
-}
-
-u64
-SweepReport::totalAccesses() const
-{
-    u64 total = 0;
-    for (const SweepPointResult &p : points)
-        total += p.result.accesses;
-    return total;
-}
-
-u64
-SweepReport::totalContractViolations() const
-{
-    u64 total = 0;
-    for (const SweepPointResult &p : points)
-        total += p.result.contractViolations;
-    return total;
 }
 
 const SweepPointResult &
@@ -265,7 +208,7 @@ SweepReport::point(const std::string &modelLabel,
 }
 
 void
-SweepReport::writeJson(std::ostream &os, bool includeTiming) const
+SweepReport::writeJson(std::ostream &os) const
 {
     JsonWriter json(os);
     json.beginObject();
@@ -300,70 +243,36 @@ SweepReport::writeJson(std::ostream &os, bool includeTiming) const
         json.endObject();
     }
     json.endArray();
-    if (includeTiming) {
-        json.key("timing");
-        json.beginObject();
-        json.key("threads");
-        json.value(static_cast<u64>(threads));
-        json.key("wall_seconds");
-        json.value(wallSeconds);
-        json.key("point_wall_seconds");
-        json.beginArray();
-        for (const SweepPointResult &p : points)
-            json.value(p.wallSeconds);
-        json.endArray();
-        json.endObject();
-    }
     json.endObject();
     os << "\n";
 }
 
 void
-SweepReport::writeFile(const std::string &path, bool includeTiming) const
+SweepReport::writeFile(const std::string &path) const
 {
     std::ofstream out(path);
     if (!out)
         fatal("cannot open '", path, "' for writing");
-    writeJson(out, includeTiming);
-}
-
-SweepRunner::SweepRunner(SweepOptions options)
-    : options_(std::move(options))
-{
+    writeJson(out);
 }
 
 SweepReport
-SweepRunner::run(const SweepSpec &spec) const
+runSweep(const SweepSpec &spec, u32 threads)
 {
     const std::vector<SimJob> jobs = spec.expand();
 
-    WorkStealingPool pool(options_.threads);
     SweepReport report;
     report.sweep = spec.name();
-    report.threads = pool.threadCount();
     report.points.resize(jobs.size());
 
-    // Each worker writes only its own pre-sized slot; the progress
-    // callback is the single shared touch point and is serialized.
-    struct Progress
-    {
-        mc::Mutex mutex;
-        u64 done MOLCACHE_GUARDED_BY(mutex) = 0;
-    } progress;
-
+    // Each job writes only its own pre-sized slot.
     const auto start = std::chrono::steady_clock::now();
-    pool.forEach(jobs.size(), [&](u64 i) {
+    report.threads = parallelFor(threads, jobs.size(), [&](u64 i) {
         report.points[i] = runSimJob(jobs[i], spec.inspector());
-        if (options_.progress) {
-            mc::MutexLock lock(progress.mutex);
-            // lint: allow(lock-across-call): serialization IS the
-            // documented SweepOptions::progress contract ("serialized by
-            // the runner; safe to print from"); the callback must not
-            // re-enter the runner.
-            options_.progress(++progress.done, jobs.size());
-        }
     });
-    report.wallSeconds = secondsSince(start);
+    report.wallSeconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
     return report;
 }
 

@@ -3,14 +3,12 @@
  * The declarative parallel sweep engine.
  *
  * A SweepSpec names three axes — cache configurations, workload
- * profiles, seeds — and the SweepRunner executes their cartesian
- * product on a work-stealing thread pool (exec/thread_pool.hpp).  Every
+ * profiles, seeds — and runSweep executes their cartesian product
+ * across threads with parallelFor (exec/thread_pool.hpp).  Every
  * point is one SimJob: a plain value copied into the worker, carrying
  * the model parameters, the profile list and a private RunOptions whose
  * seed selects deterministic per-job RNG streams.  No state is shared
- * between jobs, so the report is bit-identical for any thread count;
- * seed replication uses the job-indexed derivation in
- * exec/seed_stream.hpp.
+ * between jobs, so the report is bit-identical for any thread count.
  *
  * Results aggregate into a SweepReport ordered by job index and can be
  * serialized as a schema-versioned JSON document (conventionally
@@ -60,14 +58,13 @@ struct WorkloadPoint
 {
     std::string label;
     std::vector<std::string> profiles;
-    MixPolicy mix = MixPolicy::RoundRobin;
     /** Per-workload goal override; absent = the spec-level GoalSet. */
     std::optional<GoalSet> goals;
 };
 
 /**
- * One executable sweep point: a copyable value the pool hands to a
- * worker.  options.seed is the job's seed; it also overrides the seed
+ * One executable sweep point: a copyable value each worker reads
+ * on its own.  options.seed is the job's seed; it also overrides the seed
  * inside the model params at build time.
  */
 struct SimJob
@@ -107,25 +104,19 @@ class SweepSpec
     SweepSpec &molecular(
         const std::string &label, const MolecularCacheParams &p,
         const std::optional<FaultScheduleSpec> &faults = std::nullopt);
+    /** @p goals overrides the spec-level GoalSet for this workload
+     * (e.g. fig5's goal-less-mcf graph). */
     SweepSpec &workload(const std::string &label,
                         const std::vector<std::string> &profiles,
-                        MixPolicy mix = MixPolicy::RoundRobin);
-    /** Workload with its own GoalSet (e.g. fig5's goal-less-mcf graph). */
-    SweepSpec &workload(const std::string &label,
-                        const std::vector<std::string> &profiles,
-                        const GoalSet &goals,
-                        MixPolicy mix = MixPolicy::RoundRobin);
+                        const std::optional<GoalSet> &goals = std::nullopt);
     /** Explicit seeds: points reproduce single runs at the same seed. */
     SweepSpec &seeds(const std::vector<u64> &s);
-    /** @p n derived replicate seeds via deriveJobSeed(baseSeed, i). */
-    SweepSpec &replicates(u32 n, u64 baseSeed = 1);
     /** @} */
 
     /** @{ Per-job RunOptions fields shared by every point. */
     SweepSpec &goals(const GoalSet &g);
     SweepSpec &registrationGoal(double goal);
     SweepSpec &references(u64 refs);
-    SweepSpec &warmup(u64 refs);
     /** @} */
 
     SweepSpec &inspect(InspectFn fn);
@@ -147,7 +138,6 @@ class SweepSpec
     GoalSet goals_;
     double registrationGoal_ = 0.25;
     u64 totalReferences_ = 0;
-    u64 warmup_ = 0;
     InspectFn inspect_;
 };
 
@@ -160,52 +150,30 @@ struct SweepPointResult
     u64 seed = 0;
     SimResult result;
     MetricMap extra;
-    /** Wall time of this point (excluded from deterministic JSON). */
-    double wallSeconds = 0.0;
 };
 
 struct SweepReport
 {
     std::string sweep;
+    /** @{ How the sweep ran; never serialized, so the JSON stays
+     * byte-identical for any thread count. */
     u32 threads = 1;
     double wallSeconds = 0.0;
+    /** @} */
     std::vector<SweepPointResult> points;
-
-    u64 totalAccesses() const;
-    u64 totalContractViolations() const;
 
     /** First point matching both labels (any seed); fatal() if absent. */
     const SweepPointResult &point(const std::string &modelLabel,
                                   const std::string &workloadLabel) const;
 
-    /**
-     * Serialize as a schema-versioned JSON document.  Deterministic by
-     * default; @p includeTiming appends a "timing" section (threads,
-     * wall seconds) that naturally varies run to run.
-     */
-    void writeJson(std::ostream &os, bool includeTiming = false) const;
-    void writeFile(const std::string &path, bool includeTiming = false) const;
+    /** Serialize as a schema-versioned, deterministic JSON document. */
+    void writeJson(std::ostream &os) const;
+    void writeFile(const std::string &path) const;
 };
 
-struct SweepOptions
-{
-    /** Worker threads; 0 = hardware concurrency. */
-    u32 threads = 0;
-    /** Called after each point completes: (pointsDone, pointsTotal).
-     * Serialized by the runner; safe to print from. */
-    std::function<void(u64, u64)> progress;
-};
-
-class SweepRunner
-{
-  public:
-    explicit SweepRunner(SweepOptions options = {});
-
-    SweepReport run(const SweepSpec &spec) const;
-
-  private:
-    SweepOptions options_;
-};
+/** Run every point of @p spec on @p threads threads (0 = hardware
+ * concurrency); points land in job-index order. */
+SweepReport runSweep(const SweepSpec &spec, u32 threads = 0);
 
 /** Build the (seed-overridden, registered, fault-armed) model for one
  * job — exposed for tests and single-point tools. */

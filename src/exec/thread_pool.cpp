@@ -1,172 +1,53 @@
 #include "exec/thread_pool.hpp"
 
 #include <algorithm>
-
-#include "contract/contract.hpp"
+#include <atomic>
+#include <exception>
+#include <mutex>
+#include <thread>
+#include <vector>
 
 namespace molcache {
 
 u32
-WorkStealingPool::defaultThreadCount()
+defaultThreadCount()
 {
     return std::max(1u, std::thread::hardware_concurrency());
 }
 
-WorkStealingPool::WorkStealingPool(u32 threads)
-    : threadCount_(threads == 0 ? defaultThreadCount() : threads)
+u32
+parallelFor(u32 threads, u64 jobCount, const std::function<void(u64)> &body)
 {
-    if (threadCount_ == 1)
-        return; // inline mode: no workers, forEach runs on the caller
-    queues_.reserve(threadCount_);
-    for (u32 i = 0; i < threadCount_; ++i)
-        queues_.push_back(std::make_unique<WorkerQueue>());
-    workers_.reserve(threadCount_);
-    for (u32 i = 0; i < threadCount_; ++i)
-        workers_.emplace_back([this, i] { workerLoop(i); });
-}
-
-WorkStealingPool::~WorkStealingPool()
-{
-    {
-        mc::MutexLock lock(mutex_);
-        stopping_ = true;
-    }
-    workReady_.notifyAll();
-    for (std::thread &t : workers_)
-        t.join();
-}
-
-bool
-WorkStealingPool::popOwn(size_t self, u64 &job)
-{
-    WorkerQueue &q = *queues_[self];
-    mc::MutexLock lock(q.mutex);
-    if (q.jobs.empty())
-        return false;
-    job = q.jobs.front();
-    q.jobs.pop_front();
-    return true;
-}
-
-bool
-WorkStealingPool::stealFromVictim(size_t self, u64 &job)
-{
-    // Scan victims starting after ourselves so thieves spread out.
-    for (size_t step = 1; step < queues_.size(); ++step) {
-        WorkerQueue &q = *queues_[(self + step) % queues_.size()];
-        mc::MutexLock lock(q.mutex);
-        if (q.jobs.empty())
-            continue;
-        job = q.jobs.back();
-        q.jobs.pop_back();
-        return true;
-    }
-    return false;
-}
-
-void
-WorkStealingPool::recordError()
-{
-    mc::MutexLock lock(mutex_);
-    if (!firstError_)
-        firstError_ = std::current_exception();
-}
-
-void
-WorkStealingPool::drainEpoch(size_t self)
-{
-    for (;;) {
-        u64 job = 0;
-        if (popOwn(self, job) || stealFromVictim(self, job)) {
-            // Re-read the batch body per job: a worker can straggle from
-            // one batch into the next, and the previous std::function is
-            // gone once its forEach returned.  Holding an unexecuted job
-            // keeps pending_ > 0, which keeps body_ valid.  The copied
-            // pointer is invoked OUTSIDE the lock: job bodies are user
-            // callbacks and may run for seconds (lock-across-call).
-            const std::function<void(u64)> *body = nullptr;
-            {
-                mc::MutexLock lock(mutex_);
-                body = body_;
-            }
+    const u32 count = threads == 0 ? defaultThreadCount() : threads;
+    std::atomic<u64> next{0};
+    // The first exception any job threw; later ones are dropped.
+    std::once_flag failed;
+    std::exception_ptr first_error;
+    const auto drain = [&] {
+        for (u64 i = next.fetch_add(1, std::memory_order_relaxed);
+             i < jobCount; i = next.fetch_add(1, std::memory_order_relaxed)) {
             try {
-                (*body)(job);
+                body(i);
             } catch (...) {
-                recordError();
+                std::call_once(failed, [&] {
+                    first_error = std::current_exception();
+                });
             }
-            if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-                mc::MutexLock lock(mutex_);
-                batchDone_.notifyAll();
-            }
-        } else if (pending_.load(std::memory_order_acquire) == 0) {
-            return; // batch fully executed
-        } else {
-            // Another worker holds the last jobs; jobs are coarse, so a
-            // brief yield-spin at the tail is cheaper than re-sleeping.
-            std::this_thread::yield();
         }
-    }
-}
-
-void
-WorkStealingPool::workerLoop(size_t self)
-{
-    u64 seen_epoch = 0;
-    for (;;) {
-        {
-            mc::MutexLock lock(mutex_);
-            while (!stopping_ && epoch_ == seen_epoch)
-                workReady_.wait(mutex_);
-            if (stopping_)
-                return;
-            seen_epoch = epoch_;
-        }
-        drainEpoch(self);
-    }
-}
-
-void
-WorkStealingPool::forEach(u64 jobCount, const std::function<void(u64)> &body)
-{
-    if (jobCount == 0)
-        return;
-    if (threadCount_ == 1 || workers_.empty()) {
-        for (u64 i = 0; i < jobCount; ++i)
-            body(i);
-        return;
-    }
-
+    };
     {
-        mc::MutexLock lock(mutex_);
-        MOLCACHE_EXPECT(pending_.load(std::memory_order_acquire) == 0,
-                        "WorkStealingPool::forEach is not reentrant");
-        body_ = &body;
-        pending_.store(jobCount, std::memory_order_release);
-        // Deal contiguous blocks; uneven tails rebalance by stealing.
-        const u64 per = jobCount / threadCount_;
-        const u64 extra = jobCount % threadCount_;
-        u64 next = 0;
-        for (u32 w = 0; w < threadCount_; ++w) {
-            const u64 take = per + (w < extra ? 1 : 0);
-            mc::MutexLock qlock(queues_[w]->mutex);
-            for (u64 i = 0; i < take; ++i)
-                queues_[w]->jobs.push_back(next++);
-        }
-        ++epoch_;
+        // The caller is one of the `active` threads; the helpers join
+        // when this scope closes.
+        const u64 active = std::min<u64>(count, jobCount);
+        std::vector<std::jthread> helpers;
+        helpers.reserve(active);
+        for (u64 t = 1; t < active; ++t)
+            helpers.emplace_back(drain);
+        drain();
     }
-    workReady_.notifyAll();
-
-    std::exception_ptr error;
-    {
-        mc::MutexLock lock(mutex_);
-        while (pending_.load(std::memory_order_acquire) != 0)
-            batchDone_.wait(mutex_);
-        body_ = nullptr;
-        error = firstError_;
-        firstError_ = nullptr;
-    }
-    if (error)
-        std::rethrow_exception(error);
+    if (first_error)
+        std::rethrow_exception(first_error);
+    return count;
 }
 
 } // namespace molcache

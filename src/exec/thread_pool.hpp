@@ -1,96 +1,45 @@
 /**
  * @file
- * A work-stealing thread pool for embarrassingly parallel job batches.
+ * parallelFor: run one batch of independent jobs across threads.
  *
- * Shape (after the request-pipeline pools in replicated-state systems
- * and SESC-style batch simulators): each worker owns a deque of job
- * indices; it pops its own work from the front and, when dry, steals
- * from the back of a victim's deque.  Stealing matters because sweep
- * jobs are wildly uneven — an 8 MiB molecular simulation runs ~8x
- * longer than a 1 MiB direct-mapped one — so static chunking would idle
- * most workers at the tail.
+ * Every caller runs exactly one batch (a sweep, or a drill's driver
+ * plus its workers), so there is no pool to keep alive between batches:
+ * parallelFor starts its threads, lets each claim the next job index
+ * from one shared atomic counter, and joins them before returning.
+ * Claiming one index at a time balances wildly uneven jobs — an 8 MiB
+ * molecular simulation runs ~8x longer than a 1 MiB direct-mapped one —
+ * without per-thread queues or stealing.
  *
- * Determinism contract: forEach(n, body) invokes body(i) exactly once
- * for every i in [0, n), in unspecified order and thread placement.
- * Callers that write only to per-index slots (the sweep engine's
- * pattern) therefore observe identical results for any thread count.
+ * Determinism contract: body(i) runs exactly once for every i in
+ * [0, jobCount), in unspecified order and thread placement.  Callers
+ * that write only to per-index slots (the sweep engine's pattern)
+ * therefore observe identical results for any thread count.
  */
 
 #ifndef MOLCACHE_EXEC_THREAD_POOL_HPP
 #define MOLCACHE_EXEC_THREAD_POOL_HPP
 
-#include <atomic>
-#include <deque>
-#include <exception>
 #include <functional>
-#include <memory>
-#include <thread>
-#include <vector>
 
-#include "util/sync.hpp"
 #include "util/types.hpp"
 
 namespace molcache {
 
-class WorkStealingPool
-{
-  public:
-    /**
-     * @param threads worker count; 0 = hardware concurrency.  With one
-     * thread no workers are spawned and forEach runs inline on the
-     * caller — the serial baseline goes through the exact same per-job
-     * code path.
-     */
-    explicit WorkStealingPool(u32 threads = 0);
-    ~WorkStealingPool();
+/** hardware_concurrency with a floor of 1. */
+u32 defaultThreadCount();
 
-    WorkStealingPool(const WorkStealingPool &) = delete;
-    WorkStealingPool &operator=(const WorkStealingPool &) = delete;
-
-    /** Effective parallelism (>= 1). */
-    u32 threadCount() const { return threadCount_; }
-
-    /**
-     * Run body(i) once for every i in [0, jobCount); blocks until all
-     * jobs completed.  If any job throws, the first exception is
-     * rethrown here after the batch drains.  Not reentrant: one batch
-     * at a time per pool.
-     */
-    void forEach(u64 jobCount, const std::function<void(u64)> &body);
-
-    /** hardware_concurrency with a floor of 1. */
-    static u32 defaultThreadCount();
-
-  private:
-    struct WorkerQueue
-    {
-        mc::Mutex mutex;
-        std::deque<u64> jobs MOLCACHE_GUARDED_BY(mutex);
-    };
-
-    void workerLoop(size_t self);
-    bool popOwn(size_t self, u64 &job);
-    bool stealFromVictim(size_t self, u64 &job);
-    void drainEpoch(size_t self);
-    /** Record a job's exception (first one wins). */
-    void recordError() MOLCACHE_EXCLUDES(mutex_);
-
-    // Set once in the constructor, immutable while workers run.
-    u32 threadCount_ = 1;                            // lint: unguarded(set in the constructor, read-only afterwards)
-    std::vector<std::unique_ptr<WorkerQueue>> queues_;  // lint: unguarded(vector shape fixed in the constructor; element access goes through each WorkerQueue's own mutex)
-    std::vector<std::thread> workers_;               // lint: unguarded(joined only in the destructor, after stopping_)
-
-    mc::Mutex mutex_;
-    mc::CondVar workReady_;
-    mc::CondVar batchDone_;
-    /** Valid while pending_ > 0 (the batch body outlives its jobs). */
-    const std::function<void(u64)> *body_ MOLCACHE_GUARDED_BY(mutex_) =
-        nullptr;
-    std::atomic<u64> pending_{0};
-    u64 epoch_ MOLCACHE_GUARDED_BY(mutex_) = 0;
-    bool stopping_ MOLCACHE_GUARDED_BY(mutex_) = false;
-    std::exception_ptr firstError_ MOLCACHE_GUARDED_BY(mutex_);
-};
+/**
+ * Run body(i) once for every i in [0, jobCount) on @p threads threads
+ * (0 = defaultThreadCount()); the caller is one of them, so with one
+ * thread every job runs inline on the caller.  With threads >= jobCount
+ * every job gets its own thread, which long-running jobs that wait on
+ * each other rely on.  Blocks until every job has run and every thread
+ * has joined; if any job threw, the first exception is rethrown then.
+ *
+ * @return the effective thread count (threads, or the default for 0)
+ */
+u32 parallelFor(u32 threads, u64 jobCount,
+                const std::function<void(u64)> &body);
 
 } // namespace molcache
 

@@ -75,7 +75,8 @@ runWorkload(const std::vector<std::string> &profiles, CacheModel &model,
     const u64 refs = options.totalReferences != 0 ? options.totalReferences
                                                   : kPaperTraceLength;
     auto source =
-        makeMultiProgramSource(profiles, refs, options.mix, options.seed);
+        makeMultiProgramSource(profiles, refs, MixPolicy::RoundRobin,
+                               options.seed);
     RunOptions run = options;
     if (run.labels.empty())
         run.labels = labelMap(profiles);

@@ -50,9 +50,10 @@ void registerApplications(MolecularCache &cache, u32 count,
                           double resizeGoal);
 
 /**
- * Run one multiprogrammed workload against one model.  Seeds, reference
- * counts, goals, labels, warmup and the mix policy all come from
- * @p options (one path instead of three positional tails):
+ * Run one multiprogrammed workload, its applications interleaved
+ * round-robin, against one model.  Seeds, reference counts, goals,
+ * labels and warmup all come from @p options (one path instead of three
+ * positional tails):
  *  - options.totalReferences: merged references (0 = kPaperTraceLength)
  *  - options.labels: defaulted to the profile names when empty
  */

@@ -11,25 +11,20 @@
  * private copy with no shared mutable state.
  *
  * Fields unused by a given entry point are ignored (e.g. Simulator::run
- * drains the source it is given and never reads totalReferences or mix;
- * those drive the workload-building helpers).
+ * drains the source it is given and never reads totalReferences, which
+ * drives the workload-building helpers).
  */
 
 #ifndef MOLCACHE_SIM_RUN_OPTIONS_HPP
 #define MOLCACHE_SIM_RUN_OPTIONS_HPP
 
-#include <functional>
 #include <map>
 #include <string>
 #include <utility>
 
-#include "mem/interleave.hpp"
 #include "stats/metrics.hpp"
 
 namespace molcache {
-
-/** Progress callback: invoked with the number of accesses completed. */
-using ProgressFn = std::function<void(u64)>;
 
 struct RunOptions
 {
@@ -52,12 +47,6 @@ struct RunOptions
      * runWorkload).
      */
     u64 totalReferences = 0;
-
-    /** Interleaving discipline for multi-application workloads. */
-    MixPolicy mix = MixPolicy::RoundRobin;
-
-    /** Optional progress callback (every 2^20 accesses). */
-    ProgressFn progress;
 
     /** @{ Fluent setters so call sites read like keyword arguments. */
     RunOptions &withGoals(GoalSet g)
@@ -83,11 +72,6 @@ struct RunOptions
     RunOptions &withReferences(u64 refs)
     {
         totalReferences = refs;
-        return *this;
-    }
-    RunOptions &withProgress(ProgressFn fn)
-    {
-        progress = std::move(fn);
         return *this;
     }
     /** @} */

@@ -11,9 +11,6 @@ namespace molcache {
 
 namespace {
 
-/** Accesses between progress callbacks (the historical 2^20 stride). */
-constexpr u64 kProgressStride = u64{1} << 20;
-
 constexpr u64 kNever = ~u64{0};
 
 /**
@@ -35,13 +32,11 @@ Simulator::run(AccessSource &source, CacheModel &model,
     const u64 violations_before = contract::counters().total();
 
     // Hot loop: references are pulled in batches so the per-reference
-    // virtual dispatch on the source is amortized, and the progress /
-    // warmup checks compare against precomputed ticks instead of testing
-    // the std::function and warmup count on every access.
+    // virtual dispatch on the source is amortized, and the warmup check
+    // compares against a precomputed tick.
     std::vector<MemAccess> buffer(kBatch);
     std::vector<AccessResult> results(kBatch);
     const u64 warmup_tick = options.warmup == 0 ? kNever : options.warmup;
-    u64 progress_tick = options.progress ? kProgressStride : kNever;
 
     // Phase-hint side band: drained only when the model has a consumer
     // (guardian predictive mode), so every other configuration skips
@@ -70,9 +65,6 @@ Simulator::run(AccessSource &source, CacheModel &model,
         // Feed the block through the model's batched entry point,
         // splitting exactly at the warmup boundary so resetStats() lands
         // between the same two accesses as the scalar loop would put it.
-        // Progress callbacks fire after the segment with the same done
-        // counts they would see scalar — they observe, never mutate, so
-        // results stay byte-identical.
         size_t off = 0;
         while (off < n) {
             u64 seg = n - off;
@@ -99,10 +91,6 @@ Simulator::run(AccessSource &source, CacheModel &model,
                     else
                         ++remote_hits;
                 }
-            }
-            while (progress_tick <= done) {
-                options.progress(progress_tick);
-                progress_tick += kProgressStride;
             }
             off += seg;
         }

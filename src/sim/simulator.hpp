@@ -47,9 +47,9 @@ struct SimResult
     /** @} */
 
     /** @{ Way-memoization telemetry (docs/perf.md).  Populated only when
-     * the model is a MolecularCache; all-zero when memoization is
-     * disabled or fused off, in which case the JSON block is omitted so
-     * reports stay byte-identical to memo-free builds. */
+     * the model is a MolecularCache.  The memo cannot be disabled, only
+     * fused off for good by the first transient flip; when that leaves
+     * all three at zero the JSON block is omitted. */
     u64 wayMemoHits = 0;
     u64 wayMemoMispredicts = 0;
     u64 wayMemoInvalidations = 0;
@@ -70,14 +70,10 @@ struct SimResult
 class Simulator
 {
   public:
-    /** Optional progress callback: (accessesDone). */
-    using Progress = ProgressFn;
-
     /**
-     * Drain @p source through @p model.  Reads goals, labels, warmup
-     * and progress from @p options (totalReferences and mix belong to
-     * the workload-building helpers and are ignored here: the source is
-     * already bounded).
+     * Drain @p source through @p model.  Reads goals, labels and warmup
+     * from @p options (totalReferences belongs to the workload-building
+     * helpers and is ignored here: the source is already bounded).
      */
     static SimResult run(AccessSource &source, CacheModel &model,
                          const RunOptions &options = {});

@@ -386,6 +386,16 @@ TEST(MolecularCacheDeath, BadPlacement)
                 ::testing::ExitedWithCode(1), "line multiple");
 }
 
+TEST(MolecularCacheDeath, DefaultGoalOutOfRange)
+{
+    // Accepted, such a goal would fail only later: at the first access by
+    // an unregistered ASID, or as a BadSpec on every goal-0 service attach.
+    MolecularCacheParams p = smallParams();
+    p.defaultMissRateGoal = 1.5;
+    EXPECT_EXIT(MolecularCache{p}, ::testing::ExitedWithCode(1),
+                "defaultMissRateGoal");
+}
+
 /** Property: with either placement policy, a working set that fits the
  * initial region entirely hits after one pass. */
 class WarmFitProperty : public ::testing::TestWithParam<PlacementPolicy>

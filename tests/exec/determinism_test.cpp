@@ -89,9 +89,7 @@ coverageSpec()
 std::string
 runToJson(u32 threads)
 {
-    SweepOptions options;
-    options.threads = threads;
-    const SweepReport report = SweepRunner(options).run(coverageSpec());
+    const SweepReport report = runSweep(coverageSpec(), threads);
     std::ostringstream os;
     report.writeJson(os);
     return os.str();

@@ -58,15 +58,8 @@ TEST(SweepScaling, EightThreadsBeatSerialByFourX)
     // Byte-identity across thread counts holds on any host; keep the
     // trace short enough that the serial leg stays test-suite friendly.
     const u64 refs = 20000;
-    SweepOptions serial_options;
-    serial_options.threads = 1;
-    const SweepReport serial =
-        SweepRunner(serial_options).run(fig5SizedSpec(refs));
-
-    SweepOptions parallel_options;
-    parallel_options.threads = 8;
-    const SweepReport parallel =
-        SweepRunner(parallel_options).run(fig5SizedSpec(refs));
+    const SweepReport serial = runSweep(fig5SizedSpec(refs), 1);
+    const SweepReport parallel = runSweep(fig5SizedSpec(refs), 8);
 
     ASSERT_EQ(serial.points.size(), 48u);
     std::ostringstream serial_json, parallel_json;
@@ -81,10 +74,9 @@ TEST(SweepScaling, EightThreadsBeatSerialByFourX)
     // Re-time with a workload long enough for per-point setup to vanish
     // into the noise (the short legs above were correctness-only).
     const u64 timed_refs = 150000;
-    const SweepReport timed_serial =
-        SweepRunner(serial_options).run(fig5SizedSpec(timed_refs));
+    const SweepReport timed_serial = runSweep(fig5SizedSpec(timed_refs), 1);
     const SweepReport timed_parallel =
-        SweepRunner(parallel_options).run(fig5SizedSpec(timed_refs));
+        runSweep(fig5SizedSpec(timed_refs), 8);
     EXPECT_GE(timed_serial.wallSeconds / timed_parallel.wallSeconds, 4.0)
         << "serial " << timed_serial.wallSeconds << "s vs parallel "
         << timed_parallel.wallSeconds << "s";

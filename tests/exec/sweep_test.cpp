@@ -4,7 +4,6 @@
 
 #include <sstream>
 
-#include "exec/seed_stream.hpp"
 #include "sim/experiment.hpp"
 #include "util/units.hpp"
 #include "workload/profiles.hpp"
@@ -68,17 +67,6 @@ TEST(SweepSpec, PerWorkloadGoalsOverrideSpecGoals)
     EXPECT_DOUBLE_EQ(*jobs[1].options.goals.goal(Asid{0}), 0.33);
 }
 
-TEST(SweepSpec, ReplicatesDeriveSeedsFromBase)
-{
-    SweepSpec spec = tinySpec();
-    spec.replicates(3, /*baseSeed=*/9);
-    const auto jobs = spec.expand();
-    ASSERT_EQ(jobs.size(), 12u);
-    EXPECT_EQ(jobs[0].options.seed, deriveJobSeed(9, 0));
-    EXPECT_EQ(jobs[1].options.seed, deriveJobSeed(9, 1));
-    EXPECT_EQ(jobs[2].options.seed, deriveJobSeed(9, 2));
-}
-
 TEST(SweepSpecDeathTest, EmptyAxisIsFatal)
 {
     testing::FLAGS_gtest_death_test_style = "threadsafe";
@@ -121,15 +109,10 @@ TEST(SweepJob, RunSimJobHonoursReferencesAndSeed)
     EXPECT_EQ(point.workloadLabel, "solo");
 }
 
-TEST(SweepReport, PointLookupAndTotals)
+TEST(SweepReport, PointLookup)
 {
-    SweepOptions serial;
-    serial.threads = 1;
-    SweepRunner runner(serial);
-    const SweepReport report = runner.run(tinySpec());
+    const SweepReport report = runSweep(tinySpec(), 1);
     ASSERT_EQ(report.points.size(), 4u);
-    EXPECT_EQ(report.totalAccesses(), 4u * 2000u);
-    EXPECT_EQ(report.totalContractViolations(), 0u);
     const SweepPointResult &p = report.point("4way", "pair");
     EXPECT_EQ(p.result.accesses, 2000u);
     EXPECT_EQ(p.index, 3u); // 4way is model 1, pair is workload 1
@@ -141,19 +124,15 @@ TEST(SweepReport, InspectHookFillsExtraMetrics)
     spec.inspect([](const SimJob &job, CacheModel &, MetricMap &extra) {
         extra["job_index"] = static_cast<double>(job.index);
     });
-    SweepOptions serial;
-    serial.threads = 1;
-    const SweepReport report = SweepRunner(serial).run(spec);
+    const SweepReport report = runSweep(spec, 1);
     for (const SweepPointResult &p : report.points)
         EXPECT_DOUBLE_EQ(p.extra.at("job_index"),
                          static_cast<double>(p.index));
 }
 
-TEST(SweepReport, JsonIsSchemaVersionedAndTimingIsOptIn)
+TEST(SweepReport, JsonIsSchemaVersionedAndHasNoTiming)
 {
-    SweepOptions serial;
-    serial.threads = 1;
-    const SweepReport report = SweepRunner(serial).run(tinySpec());
+    const SweepReport report = runSweep(tinySpec(), 1);
     std::ostringstream deterministic;
     report.writeJson(deterministic);
     const std::string text = deterministic.str();
@@ -166,10 +145,6 @@ TEST(SweepReport, JsonIsSchemaVersionedAndTimingIsOptIn)
     std::ostringstream again;
     report.writeJson(again);
     EXPECT_EQ(text, again.str()) << "repeated serialization must not drift";
-
-    std::ostringstream timed;
-    report.writeJson(timed, /*includeTiming=*/true);
-    EXPECT_NE(timed.str().find("\"timing\""), std::string::npos);
 }
 
 } // namespace

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <latch>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace molcache {
@@ -18,59 +20,47 @@ splitmixish(u64 x)
     return x ^ (x >> 27);
 }
 
-TEST(WorkStealingPool, EveryIndexRunsExactlyOnce)
+TEST(ParallelFor, EveryIndexRunsExactlyOnce)
 {
     constexpr u64 kJobs = 1000;
-    WorkStealingPool pool(4);
     std::vector<std::atomic<u32>> hits(kJobs);
-    pool.forEach(kJobs, [&](u64 i) { hits[i].fetch_add(1); });
+    parallelFor(4, kJobs, [&](u64 i) { hits[i].fetch_add(1); });
     for (u64 i = 0; i < kJobs; ++i)
         EXPECT_EQ(hits[i].load(), 1u) << "index " << i;
 }
 
-TEST(WorkStealingPool, SingleThreadRunsInline)
+TEST(ParallelFor, SingleThreadRunsInline)
 {
-    WorkStealingPool pool(1);
-    EXPECT_EQ(pool.threadCount(), 1u);
     const auto caller = std::this_thread::get_id();
     bool inline_run = false;
-    pool.forEach(3, [&](u64) {
-        inline_run = std::this_thread::get_id() == caller;
-    });
+    EXPECT_EQ(parallelFor(1, 3,
+                          [&](u64) {
+                              inline_run =
+                                  std::this_thread::get_id() == caller;
+                          }),
+              1u);
     EXPECT_TRUE(inline_run);
 }
 
-TEST(WorkStealingPool, ZeroMeansHardwareConcurrency)
+TEST(ParallelFor, ZeroMeansHardwareConcurrency)
 {
-    WorkStealingPool pool(0);
-    EXPECT_EQ(pool.threadCount(), WorkStealingPool::defaultThreadCount());
-    EXPECT_GE(WorkStealingPool::defaultThreadCount(), 1u);
+    EXPECT_EQ(parallelFor(0, 1, [](u64) {}), defaultThreadCount());
+    EXPECT_GE(defaultThreadCount(), 1u);
 }
 
-TEST(WorkStealingPool, EmptyBatchReturnsImmediately)
+TEST(ParallelFor, EmptyBatchReturnsImmediately)
 {
-    WorkStealingPool pool(2);
     u64 calls = 0;
-    pool.forEach(0, [&](u64) { ++calls; });
+    parallelFor(2, 0, [&](u64) { ++calls; });
     EXPECT_EQ(calls, 0u);
 }
 
-TEST(WorkStealingPool, PoolIsReusableAcrossBatches)
+TEST(ParallelFor, UnevenJobsAllComplete)
 {
-    WorkStealingPool pool(3);
-    std::atomic<u64> total{0};
-    for (int batch = 0; batch < 5; ++batch)
-        pool.forEach(100, [&](u64) { total.fetch_add(1); });
-    EXPECT_EQ(total.load(), 500u);
-}
-
-TEST(WorkStealingPool, UnevenJobsAllComplete)
-{
-    // Wildly skewed job sizes exercise the steal path: worker 0's deque
-    // holds the giant jobs and everyone else must come take them.
-    WorkStealingPool pool(4);
+    // Wildly skewed job sizes: the threads that drew the giant jobs
+    // stay busy while the others claim everything that is left.
     std::atomic<u64> sum{0};
-    pool.forEach(64, [&](u64 i) {
+    parallelFor(4, 64, [&](u64 i) {
         const u64 spin = (i % 8 == 0) ? 200000 : 10;
         u64 sink = 0;
         for (u64 k = 0; k < spin; ++k)
@@ -80,19 +70,33 @@ TEST(WorkStealingPool, UnevenJobsAllComplete)
     EXPECT_EQ(sum.load(), 64u * 63u / 2);
 }
 
-TEST(WorkStealingPool, FirstExceptionPropagates)
+TEST(ParallelFor, FirstExceptionPropagates)
 {
-    WorkStealingPool pool(2);
-    EXPECT_THROW(pool.forEach(10,
-                              [](u64 i) {
-                                  if (i == 5)
-                                      throw std::runtime_error("job 5");
-                              }),
+    std::atomic<u64> ran{0};
+    EXPECT_THROW(parallelFor(2, 10,
+                             [&](u64 i) {
+                                 ran.fetch_add(1);
+                                 if (i == 5)
+                                     throw std::runtime_error("job 5");
+                             }),
                  std::runtime_error);
-    // The pool must survive a throwing batch.
-    std::atomic<u64> ok{0};
-    pool.forEach(4, [&](u64) { ok.fetch_add(1); });
-    EXPECT_EQ(ok.load(), 4u);
+    // The throw neither skips the remaining jobs nor leaks a thread.
+    EXPECT_EQ(ran.load(), 10u);
+}
+
+TEST(ParallelFor, ThreadsEqualJobsRunConcurrently)
+{
+    // Every job waits until all of them have started, so this finishes
+    // only if each job has its own thread — the drills' driver and
+    // workers depend on exactly that.
+    constexpr u64 kJobs = 6;
+    std::latch started(kJobs);
+    std::atomic<u64> done{0};
+    parallelFor(kJobs, kJobs, [&](u64) {
+        started.arrive_and_wait();
+        done.fetch_add(1);
+    });
+    EXPECT_EQ(done.load(), kJobs);
 }
 
 } // namespace

@@ -48,19 +48,6 @@ TEST(Simulator, WarmupResetsStats)
     EXPECT_EQ(r.misses, 0u);
 }
 
-TEST(Simulator, ProgressCallbackFires)
-{
-    // 2^20 accesses trip the (done & 0xfffff) == 0 progress tick once.
-    std::vector<MemAccess> v(1u << 20,
-                             MemAccess{0x40, Asid{0}, AccessType::Read});
-    VectorSource src(std::move(v));
-    SetAssocCache cache(tinyCache());
-    u64 calls = 0;
-    Simulator::run(src, cache,
-                   RunOptions{}.withProgress([&](u64) { ++calls; }));
-    EXPECT_EQ(calls, 1u);
-}
-
 TEST(Simulator, LabelMapHelper)
 {
     const auto labels = labelMap({"a", "b"});

@@ -63,7 +63,7 @@
  *                       src/ -- implicit seq_cst hides the intended
  *                       ordering contract (and its cost) from review.
  *  - detached-thread:   .detach() anywhere in src/, and raw std::thread
- *                       construction outside the worker pool
+ *                       construction outside parallelFor
  *                       (src/exec/thread_pool.*) -- detached threads
  *                       outlive scope unjoinably and break the
  *                       deterministic shutdown story.  A long-lived
@@ -665,8 +665,8 @@ void
 checkDetachedThread(const SourceFile &f, const Context &)
 {
     // Detached threads outlive every scope unjoinably; raw threads
-    // outside the pool dodge its shutdown/error discipline.  The only
-    // sanctioned spawn point is the worker pool itself.
+    // outside parallelFor dodge its join/error discipline.  The only
+    // sanctioned spawn point is parallelFor itself.
     if (!startsWith(f.rel, "src/"))
         return;
     static const std::regex detach(R"(\.\s*detach\s*\(\s*\))");
@@ -675,8 +675,8 @@ checkDetachedThread(const SourceFile &f, const Context &)
          it != std::sregex_iterator(); ++it)
         report("detached-thread", f.rel,
                lineOf(f.code, static_cast<size_t>(it->position(0))),
-               ".detach() is banned; threads must stay joinable (pool "
-               "ownership, deterministic shutdown)");
+               ".detach() is banned; threads must stay joinable (owner "
+               "joins, deterministic shutdown)");
     if (startsWith(f.rel, "src/exec/thread_pool"))
         return;
     static const std::regex rawThread(R"(\bstd\s*::\s*j?thread\b)");
@@ -692,7 +692,7 @@ checkDetachedThread(const SourceFile &f, const Context &)
             continue;
         report("detached-thread", f.rel, line,
                "raw std::thread outside src/exec/thread_pool.*; run work "
-               "through WorkStealingPool or tag "
+               "through parallelFor or tag "
                "'// lint: allow(raw-thread): <why>'");
     }
 }

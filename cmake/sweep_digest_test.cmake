@@ -1,17 +1,26 @@
-# Golden-digest gate for one paper sweep (docs/sweeps.md, "Determinism").
+# Golden-digest gate for one bench binary (docs/sweeps.md, "Determinism").
 #
 # Invoked as a ctest by bench/CMakeLists.txt with:
-#   BENCH    - the sweep binary
-#   OUT      - where its JSON report is written
+#   BENCH    - the bench binary
+#   OUT      - where its report is written
 #   EXPECTED - the committed SHA-256 of that report
+#   STDOUT   - (optional) set for benches without --json: the report is
+#              the bench's stdout, which prints results only, no timings
 #
-# The bench runs at --refs 20000 on two threads; the report is
+# The bench runs at --refs 20000 (sweeps on two threads); the report is
 # byte-identical for any thread count and build type, so any other
-# digest means the sweep now computes different results.
+# digest means the bench now computes different results.
 
-execute_process(
-    COMMAND ${BENCH} --refs 20000 --threads 2 --json ${OUT}
-    RESULT_VARIABLE result)
+if(STDOUT)
+    execute_process(
+        COMMAND ${BENCH} --refs 20000
+        OUTPUT_FILE ${OUT}
+        RESULT_VARIABLE result)
+else()
+    execute_process(
+        COMMAND ${BENCH} --refs 20000 --threads 2 --json ${OUT}
+        RESULT_VARIABLE result)
+endif()
 if(NOT result EQUAL 0)
     message(FATAL_ERROR "${BENCH} exited with ${result}")
 endif()
@@ -19,6 +28,6 @@ endif()
 file(SHA256 ${OUT} actual)
 if(NOT actual STREQUAL EXPECTED)
     message(FATAL_ERROR
-        "sweep results changed: ${OUT} has SHA-256 ${actual}, the "
+        "bench results changed: ${OUT} has SHA-256 ${actual}, the "
         "committed digest is ${EXPECTED}")
 endif()

@@ -60,10 +60,6 @@ void registerApplications(MolecularCache &cache, u32 count,
 SimResult runWorkload(const std::vector<std::string> &profiles,
                       CacheModel &model, const RunOptions &options);
 
-// The positional runWorkload(profiles, model, goals, totalReferences,
-// seed) overload was removed one release after the RunOptions API
-// landed; molcache_lint's deprecated-run rule rejects reintroduction.
-
 /**
  * Derive per-application miss-rate goals by profiling: each profile runs
  * alone on a reference cache and its goal is set to

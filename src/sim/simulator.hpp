@@ -77,11 +77,6 @@ class Simulator
      */
     static SimResult run(AccessSource &source, CacheModel &model,
                          const RunOptions &options = {});
-
-    // The positional run(source, model, goals, labels, warmup, progress)
-    // overload was removed one release after the RunOptions API landed
-    // (as promised by its deprecation note); molcache_lint's
-    // deprecated-run rule rejects any reintroduction.
 };
 
 /** Display-label map (ASID i -> names[i]). */

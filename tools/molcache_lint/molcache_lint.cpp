@@ -45,10 +45,6 @@
  *                       genuinely sparse state opts out with a
  *                       `molcache-lint: allow-map` comment on or just
  *                       above the declaration.
- *  - deprecated-run:    positional-argument calls to Simulator::run,
- *                       runWorkload or deriveGoalsFromSolo -- the
- *                       positional overloads were removed; new code must
- *                       pass RunOptions.
  *  - naked-mutex:       raw std::mutex/condition_variable/lock_guard/
  *                       unique_lock/scoped_lock in src/ outside
  *                       src/util/sync.hpp -- unannotated primitives are
@@ -348,13 +344,6 @@ splitArgs(const std::string &code, size_t open)
     return {};
 }
 
-bool
-looksNumeric(const std::string &arg)
-{
-    static const std::regex rx(R"(^\s*[0-9][0-9'.]*\s*$)");
-    return std::regex_search(arg, rx);
-}
-
 /* ------------------------------------------------------------------ */
 /* Rules                                                               */
 
@@ -473,67 +462,6 @@ checkNoAssert(const SourceFile &f, const Context &)
         report("no-assert", f.rel,
                lineOf(f.code, static_cast<size_t>(it->position(0)) + 1),
                "use MOLCACHE_EXPECT/ENSURE/INVARIANT instead of assert()");
-}
-
-void
-checkDeprecatedRun(const SourceFile &f, const Context &)
-{
-    // The positional overloads were [[deprecated]] for one release and
-    // then deleted; the rule now also covers src/sim/ so neither the
-    // forwarders nor their declarations can quietly come back.
-    //
-    // Heuristic (the compiler is the authority wherever MOLCACHE_WERROR
-    // is on): the RunOptions forms take at most (source-ish, model,
-    // options) — a fourth positional argument, a positional GoalSet, or
-    // a numeric third argument to deriveGoalsFromSolo can only be a
-    // removed-overload call.  A *declaration* (reference parameters in
-    // args[0]) is a reintroduction when it carries a positional GoalSet
-    // parameter, or — for deriveGoalsFromSolo — no RunOptions parameter
-    // at all.
-    static const std::regex rx(
-        R"((Simulator\s*::\s*run|\brunWorkload|\bderiveGoalsFromSolo)\s*\()");
-    for (auto it = std::sregex_iterator(f.code.begin(), f.code.end(), rx);
-         it != std::sregex_iterator(); ++it) {
-        const std::string fn = (*it)[1].str();
-        const size_t open =
-            static_cast<size_t>(it->position(0)) + it->length(0) - 1;
-        const std::vector<std::string> args = splitArgs(f.code, open);
-        if (args.size() < 3)
-            continue; // declarations trimmed below the arity of interest
-        const bool declaration = args[0].find('&') != std::string::npos;
-        bool deprecated = false;
-        if (declaration) {
-            bool positional_goals = false;
-            bool has_run_options = false;
-            for (size_t i = 2; i < args.size(); ++i) {
-                if (args[i].find("RunOptions") != std::string::npos)
-                    has_run_options = true;
-                else if (args[i].find("GoalSet") != std::string::npos)
-                    positional_goals = true;
-            }
-            deprecated = positional_goals ||
-                         (fn == "deriveGoalsFromSolo" && !has_run_options);
-        } else if (fn == "deriveGoalsFromSolo") {
-            deprecated = looksNumeric(args[2]);
-        } else {
-            // A RunOptions chain may itself mention GoalSet
-            // (.withGoals(GoalSet::uniform(...))) — only a GoalSet
-            // passed *without* RunOptions in the argument is positional.
-            for (size_t i = 2; i < args.size(); ++i)
-                if (args[i].find("GoalSet") != std::string::npos &&
-                    args[i].find("RunOptions") == std::string::npos)
-                    deprecated = true;
-            if (args.size() > 3)
-                deprecated = true;
-        }
-        if (deprecated)
-            report("deprecated-run", f.rel,
-                   lineOf(f.code, static_cast<size_t>(it->position(0))),
-                   "positional " + fn + "() " +
-                       (declaration ? "declaration" : "call") +
-                       "; the positional overloads were removed — pass "
-                       "RunOptions");
-    }
 }
 
 void
@@ -798,7 +726,6 @@ const Rule kRules[] = {
      "bad_service_chaos.hpp"},
     {"transposed-ids", "bad_transposed.cpp", checkTransposedIds},
     {"no-assert", "bad_include.cpp", checkNoAssert},
-    {"deprecated-run", "bad_deprecated_run.cpp", checkDeprecatedRun},
     {"include-hygiene", "bad_include.cpp", checkIncludeHygiene},
     {"naked-mutex", "bad_naked_mutex.cpp", checkNakedMutex},
     {"unguarded-member", "bad_unguarded_member.hpp", checkUnguardedMember,

@@ -134,6 +134,14 @@ class Molecule
     /** Set the dirty bit of a resident line (write hit). */
     void markDirty(Addr addr);
 
+    /** True if the line holding @p addr is resident and dirty. */
+    bool
+    isDirty(Addr addr) const
+    {
+        return lookup(addr) &&
+               (flags_[slot(indexOf(addr))] & kLineDirty) != 0;
+    }
+
     /**
      * Install the line holding @p addr, displacing whatever occupies the
      * slot.  @return the eviction if a valid line was displaced.

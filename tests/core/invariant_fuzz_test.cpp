@@ -79,9 +79,11 @@ checkInvariants(const MolecularCache &cache,
     const auto &g = cache.stats().global();
     ASSERT_EQ(g.hits + g.misses, g.accesses);
 
-    // 5. The full cross-layer audit agrees.
+    // 5. The full cross-layer audit agrees, and so does the directory.
     const auto rep = InvariantChecker::check(cache);
     ASSERT_TRUE(rep.ok()) << rep.violations.front();
+    const auto dir = InvariantChecker::checkDirectory(cache);
+    ASSERT_TRUE(dir.ok()) << dir.violations.front();
 }
 
 class MolecularFuzz : public ::testing::TestWithParam<u64>
@@ -195,6 +197,7 @@ TEST_P(PlacementFuzz, AccessStormKeepsInvariants)
             // Mid-storm molecule losses; the audit keeps watching.
             SimAccess{cache}.decommissionMolecule(
                 MoleculeId{rng.below(p.totalMolecules())});
+            checkInvariants(cache, registered);
         }
     }
     checkInvariants(cache, registered);

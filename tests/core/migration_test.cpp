@@ -9,6 +9,7 @@
 
 #include "core/molecular_cache.hpp"
 #include "core/sim_access.hpp"
+#include "fault/invariant_checker.hpp"
 #include "util/units.hpp"
 
 namespace molcache {
@@ -35,6 +36,13 @@ read(Addr addr)
     return {addr, Asid{0}, AccessType::Read};
 }
 
+void
+expectDirectoryClean(const MolecularCache &cache)
+{
+    const auto rep = InvariantChecker::checkDirectory(cache);
+    EXPECT_TRUE(rep.ok()) << rep.violations.front();
+}
+
 TEST(Migration, SameClusterKeepsContents)
 {
     MolecularCache cache(params());
@@ -51,6 +59,7 @@ TEST(Migration, SameClusterKeepsContents)
     const AccessResult r = cache.access(read(0x4000));
     EXPECT_TRUE(r.hit);
     EXPECT_EQ(r.level, 1u);
+    expectDirectoryClean(cache);
 }
 
 TEST(Migration, CrossClusterRebuildsPartition)
@@ -61,6 +70,7 @@ TEST(Migration, CrossClusterRebuildsPartition)
     const u32 size_before = cache.region(Asid{0}).size();
 
     SimAccess{cache}.migrateApplication(Asid{0}, ClusterId{1}, 0);
+    expectDirectoryClean(cache);
     EXPECT_EQ(cache.region(Asid{0}).homeCluster(), ClusterId{1});
     // Goal and line multiple survive the rebuild.
     EXPECT_DOUBLE_EQ(cache.region(Asid{0}).resizeGoal, 0.15);
@@ -71,6 +81,7 @@ TEST(Migration, CrossClusterRebuildsPartition)
     // Old cluster's molecules were returned to its pool.
     EXPECT_EQ(cache.freeMoleculesInCluster(ClusterId{0}),
               params().tilesPerCluster * params().moleculesPerTile);
+    expectDirectoryClean(cache);
 }
 
 TEST(Migration, CrossClusterWritesBackDirtyLines)
@@ -80,6 +91,8 @@ TEST(Migration, CrossClusterWritesBackDirtyLines)
     cache.access({0x4000, Asid{0}, AccessType::Write});
     SimAccess{cache}.migrateApplication(Asid{0}, ClusterId{1}, 1);
     EXPECT_GE(cache.stats().forAsid(Asid{0}).writebacks, 1u);
+    cache.access({0x4000, Asid{0}, AccessType::Write});
+    expectDirectoryClean(cache);
 }
 
 TEST(MigrationDeath, UnknownAsid)

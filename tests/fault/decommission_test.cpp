@@ -43,6 +43,8 @@ expectClean(const MolecularCache &cache)
     const auto rep = InvariantChecker::check(cache);
     EXPECT_TRUE(rep.ok()) << rep.violations.front();
     EXPECT_GT(rep.checksRun, 0u);
+    const auto dir = InvariantChecker::checkDirectory(cache);
+    EXPECT_TRUE(dir.ok()) << dir.violations.front();
 }
 
 Addr

@@ -18,8 +18,10 @@ MolecularCache::MolecularCache(const MolecularCacheParams &params)
       // Sized for every line slot resident at once; the max() only
       // keeps an invalid zero line size away from the divide so
       // validate() below can report it.
-      directory_(params.clusters, params.totalSizeBytes().value() /
-                                      std::max(params.lineSize, 1u)),
+      directory_(params.clusters,
+                 params.totalSizeBytes().value() /
+                     std::max(params.lineSize, 1u),
+                 this),
       resizer_(params)
 {
     params_.validate();
@@ -809,6 +811,20 @@ MolecularCache::withdraw(Region &region, u32 count)
         ++got;
     }
     return got;
+}
+
+void
+MolecularCache::forEachResidentLine(const Visit &visit) const
+{
+    for (const Tile &tile : tiles_) {
+        const MoleculeId first = tile.firstMolecule();
+        for (MoleculeId id = first; id < first + tile.numMolecules(); ++id) {
+            const Molecule &m = tile.molecule(id);
+            m.forEachResidentLine([&](Addr la) {
+                visit(LineAddr{la}, tile.cluster(), m.isDirty(la));
+            });
+        }
+    }
 }
 
 std::string

@@ -45,10 +45,17 @@
 
 namespace molcache {
 
-class MolecularCache final : public CacheModel, private MoleculeBroker
+class MolecularCache final : public CacheModel,
+                             private MoleculeBroker,
+                             private ResidentLines
 {
   public:
     explicit MolecularCache(const MolecularCacheParams &params);
+
+    /* The coherence directory keeps a pointer back to the cache (its
+     * ResidentLines), so the cache stays where it was built. */
+    MolecularCache(const MolecularCache &) = delete;
+    MolecularCache &operator=(const MolecularCache &) = delete;
 
     /**
      * Create a partition for @p asid with the default placement (cluster
@@ -251,6 +258,9 @@ class MolecularCache final : public CacheModel, private MoleculeBroker
     // MoleculeBroker -------------------------------------------------------
     u32 grant(Region &region, u32 count) override;
     u32 withdraw(Region &region, u32 count) override;
+
+    // ResidentLines --------------------------------------------------------
+    void forEachResidentLine(const Visit &visit) const override;
 
     Region &regionFor(Asid asid);
     Tile &tileAt(TileId index) { return tiles_[index.value()]; }

@@ -5,6 +5,7 @@
 
 #include <vector>
 
+#include "fault/invariant_checker.hpp"
 #include "util/units.hpp"
 
 namespace molcache {
@@ -211,6 +212,53 @@ TEST(MolecularCache, CrossClusterInvalidationOnSharedAddress)
     EXPECT_EQ(cache.directory().holderCount(LineAddr{0x3000}), 1u);
     EXPECT_FALSE(cache.access(read(0x3000, 1)).hit);
     EXPECT_GT(cache.directory().stats().invalidationsSent, 0u);
+}
+
+TEST(MolecularCache, FirstSharedFillMaterialisesTheDirectory)
+{
+    MolecularCacheParams p = smallParams();
+    p.resizePeriod = 1u << 30;
+    p.maxResizePeriod = 1u << 30;
+    MolecularCache cache(p);
+    cache.registerApplication(Asid{0}, 0.1, ClusterId{0}, 0, 1);
+    cache.registerApplication(Asid{1}, 0.1, ClusterId{1}, 0, 1);
+    const auto expectDirectoryClean = [&cache] {
+        const auto rep = InvariantChecker::checkDirectory(cache);
+        EXPECT_TRUE(rep.ok()) << rep.violations.front();
+    };
+
+    // Disjoint windows, a third of the lines dirty: the directory only
+    // tracks chunk holders.
+    const Addr window1 = 1ull << 40;
+    for (Addr a = 0; a < 96; ++a) {
+        cache.access(a % 3 == 0 ? write(a * 64, 0) : read(a * 64, 0));
+        cache.access(a % 3 == 0 ? write(window1 + a * 64, 1)
+                                : read(window1 + a * 64, 1));
+    }
+    ASSERT_TRUE(cache.directory().coarse());
+    expectDirectoryClean();
+    const u64 fills = cache.directory().stats().fills;
+
+    // Cluster 1 reads a clean line cluster 0 holds: the first shared
+    // chunk builds the per-line table from the resident lines.
+    const Addr shared = 64; // a % 3 != 0: clean in cluster 0
+    cache.access(read(shared, 1));
+    EXPECT_FALSE(cache.directory().coarse());
+    EXPECT_EQ(cache.directory().stats().fills, fills + 1);
+    EXPECT_EQ(cache.directory().stats().downgrades, 0u);
+    expectDirectoryClean();
+    EXPECT_EQ(cache.directory().holderCount(LineAddr{shared}), 2u);
+    EXPECT_TRUE(cache.directory().isModified(LineAddr{0}));
+    EXPECT_FALSE(cache.directory().isModified(LineAddr{shared}));
+
+    // A write hit in cluster 1 invalidates cluster 0's copy.
+    EXPECT_TRUE(cache.access(write(shared, 1)).hit);
+    EXPECT_EQ(cache.directory().stats().invalidationsSent, 1u);
+    EXPECT_EQ(cache.directory().holderCount(LineAddr{shared}), 1u);
+    EXPECT_TRUE(cache.directory().isHeld(LineAddr{shared}, ClusterId{1}));
+    expectDirectoryClean();
+    EXPECT_FALSE(cache.access(read(shared, 0)).hit);
+    expectDirectoryClean();
 }
 
 TEST(MolecularCache, NoInvalidationsWithoutSharing)

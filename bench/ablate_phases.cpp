@@ -99,8 +99,7 @@ run(u64 refs, u64 phaseLength, u64 resizePeriod, bool staticHalf, u64 seed)
         std::make_unique<PhasedApp>(Asid{0}, phaseLength, 0, seed));
     sources.push_back(std::make_unique<TraceGenerator>(
         profileByName("gcc"), Asid{1}, 0, seed));
-    Interleaver mix(std::move(sources), MixPolicy::RoundRobin, {}, seed,
-                    refs);
+    Interleaver mix(std::move(sources), refs);
 
     Outcome out;
     u64 n = 0;

@@ -13,6 +13,13 @@
 
 namespace molcache {
 
+namespace {
+
+/** The home-tile probes of a region with no molecule on its home tile. */
+const std::vector<MoleculeId> kNoMolecules;
+
+} // namespace
+
 MolecularCache::MolecularCache(const MolecularCacheParams &params)
     : params_(params),
       // Sized for every line slot resident at once; the max() only
@@ -44,7 +51,6 @@ MolecularCache::MolecularCache(const MolecularCacheParams &params)
     }
 
     appsPerCluster_.assign(params_.clusters, 0);
-    sharedByTile_.assign(total_tiles, {});
     if (isPowerOfTwo(params_.moleculesPerTile))
         molShift_ = static_cast<i32>(floorLog2(params_.moleculesPerTile));
     linesPerMol_ = params_.linesPerMolecule();
@@ -64,7 +70,7 @@ MolecularCache::MolecularCache(const MolecularCacheParams &params)
     mol.associativity = 1;
     mol.lineSize = params_.lineSize;
     mol.ports = 1;
-    mol.extraTagBits = 17; // 16-bit ASID + shared bit
+    mol.extraTagBits = 17; // 16-bit ASID + the figure-3 shared bit
     molProbeNj_ = molecularPerProbeEnergyNj(model, mol,
                                             params_.moleculesPerTile);
     molFillNj_ = model.evaluate(mol).writeEnergyNj;
@@ -207,10 +213,11 @@ MolecularCache::unregisterApplication(Asid asid)
 void
 MolecularCache::retireApplicationStats(Asid asid)
 {
-    // Deliberately not folded into unregisterApplication: migration
-    // unregisters + re-registers the same tenant and its counters must
-    // survive that round trip.  Only a caller recycling the ASID for a
-    // *different* tenant (the molcached drain path) retires the slot.
+    // Deliberately not folded into unregisterApplication: an
+    // application unregistered and later re-registered under the same
+    // ASID keeps counting into the same slot.  Only a caller recycling
+    // the ASID for a *different* tenant (the molcached drain and remap
+    // paths) retires the slot.
     if (hasApplication(asid))
         fatal("cannot retire stats of live ASID ", asid,
               "; unregister it first");
@@ -226,33 +233,6 @@ MolecularCache::setResizeGoal(Asid asid, double resizeGoal)
     if (resizeGoal <= 0.0 || resizeGoal > 1.0)
         fatal("resize goal ", resizeGoal, " outside (0, 1]");
     it->second.resizeGoal = resizeGoal;
-}
-
-void
-MolecularCache::migrateApplication(Asid asid, ClusterId cluster,
-                                   u32 tileInCluster)
-{
-    const auto it = regions_.find(asid);
-    if (it == regions_.end())
-        fatal("ASID ", asid, " is not registered");
-    if (cluster.value() >= params_.clusters)
-        fatal("cluster ", cluster, " out of range");
-    if (tileInCluster >= params_.tilesPerCluster)
-        fatal("tile ", tileInCluster, " out of cluster range");
-
-    Region &region = it->second;
-    const TileId global_tile{cluster.value() * params_.tilesPerCluster +
-                             tileInCluster};
-    if (cluster == region.homeCluster()) {
-        region.rehome(global_tile);
-        return;
-    }
-
-    // Cross-cluster: rebuild the partition at the destination.
-    const double goal = region.resizeGoal;
-    const u32 line_multiple = region.lineMultiple();
-    unregisterApplication(asid);
-    registerApplication(asid, goal, cluster, tileInCluster, line_multiple);
 }
 
 Region &
@@ -325,30 +305,9 @@ MolecularCache::freeMoleculesInCluster(ClusterId cluster) const
     return n;
 }
 
-void
-MolecularCache::setSharedMolecule(MoleculeId id, bool shared)
-{
-    Molecule &m = molecule(id);
-    auto &list = sharedByTile_[m.tile().value()];
-    const auto it = std::find(list.begin(), list.end(), id);
-    if (shared) {
-        if (m.isFree())
-            fatal("shared bit on an unassigned molecule");
-        m.setSharedBit(true);
-        if (it == list.end())
-            list.push_back(id);
-    } else {
-        m.setSharedBit(false);
-        if (it != list.end())
-            list.erase(it);
-    }
-    // Cached probe schedules fold shared-bit molecules in; stale them.
-    ++sharedGen_;
-}
-
 Molecule *
-MolecularCache::probeTile(Tile &tile, const std::vector<MoleculeId> &mols,
-                          Addr addr)
+MolecularCache::probeTile(const Region &region, Tile &tile,
+                          const std::vector<MoleculeId> &mols, Addr addr)
 {
     // Line-major slots (Tile::lineTags): every probe of this scan reads
     // one row, row + (id - first).  No software prefetch: the scanned
@@ -377,18 +336,44 @@ MolecularCache::probeTile(Tile &tile, const std::vector<MoleculeId> &mols,
         if ((f & kLinePoisoned) != 0) [[unlikely]] {
             // The probe read data + tag + parity; the poisoned slot
             // failed the parity check, is dropped, and reads as a miss.
-            const auto dropped = tile.molecule(id).scrubIfPoisoned(addr);
-            MOLCACHE_ENSURE(dropped.has_value(), "poisoned slot vanished");
-            ++faultStats_.transientFlipsDetected;
-            if (dropped->dirty)
-                ++faultStats_.dirtyLinesLost;
-            directory_.noteEviction(LineAddr{dropped->addr},
-                                    tile.cluster());
+            scrubRegionLine(region, tile.molecule(id), addr);
             continue;
         }
         return &tile.molecule(id);
     }
     return nullptr;
+}
+
+void
+MolecularCache::scrubRegionLine(const Region &region, Molecule &mol,
+                                Addr addr)
+{
+    const ClusterId cluster = tiles_[mol.tile().value()].cluster();
+    const auto dropped = mol.scrubIfPoisoned(addr);
+    MOLCACHE_ENSURE(dropped.has_value(), "poisoned slot vanished");
+    ++faultStats_.transientFlipsDetected;
+    if (dropped->dirty)
+        ++faultStats_.dirtyLinesLost;
+    directory_.noteEviction(LineAddr{dropped->addr}, cluster);
+
+    // The group's other lines sit in the neighbouring slots of the same
+    // molecule (fills are unit-aligned).  One that is itself poisoned is
+    // caught by the same parity read; the others are written back.
+    const u64 unit = static_cast<u64>(region.lineMultiple()) *
+                     params_.lineSize;
+    const Addr base = alignDown(dropped->addr, unit);
+    for (Addr la = base; la < base + unit; la += params_.lineSize) {
+        if (la == dropped->addr || !mol.lookup(la))
+            continue;
+        if (const auto sibling = mol.scrubIfPoisoned(la)) {
+            ++faultStats_.transientFlipsDetected;
+            if (sibling->dirty)
+                ++faultStats_.dirtyLinesLost;
+        } else if (mol.invalidate(la)) {
+            stats_.recordWriteback(region.asid());
+        }
+        directory_.noteEviction(LineAddr{la}, cluster);
+    }
 }
 
 double
@@ -403,9 +388,9 @@ MolecularCache::revalidateWayMemo(const Region &region)
     WayMemo &memo = wayMemo_[region.asid().value()];
     // Predictions are cheap to keep and expensive to re-learn, so the
     // table is only dropped when live re-validation cannot catch the
-    // staleness: a re-homing (a level-0 prediction would now be a
-    // remote hit) or a capacity growth that outran the table (collision
-    // pressure, not correctness).  Size and home tile only move with a
+    // staleness: a recycled ASID slot (a new region, possibly on
+    // another home tile) or a capacity growth that outran the table
+    // (collision pressure, not correctness).  Size only moves with a
     // generation bump, so this runs once per generation.
     const u64 lines =
         std::max<u64>(static_cast<u64>(region.size()) * linesPerMol_, 64);
@@ -444,18 +429,23 @@ MolecularCache::access(const MemAccess &a)
         applyDueFaults();
 
     Region &region = regionFor(a.asid);
-    Tile &home = tiles_[region.homeTile().value()];
+    const TileId home_tile = region.homeTile();
+    Tile &home = tiles_[home_tile.value()];
 
-    // The memoized probe schedule (docs/perf.md): equivalent to
-    // planLookup() + the entry tile's shared-bit molecules, but rebuilt
-    // only when region membership or shared-bit state changed —
-    // steady-state accesses are allocation-free.
-    const std::vector<MoleculeId> &shared_home =
-        sharedByTile_[region.homeTile().value()];
-    const ProbeSchedule &plan = region.probeSchedule(
-        sharedGen_, shared_home.empty() ? nullptr : &shared_home);
+    // The probe schedule is the region's placement (paper section 3.3):
+    // its molecules on the home tile first, then the other tiles in
+    // ascending order via Ulmo.  At most tilesPerCluster entries, so a
+    // linear scan finds the home entry.
+    const TilePlacement &placed = region.byTile();
+    const std::vector<MoleculeId> *home_mols = &kNoMolecules;
+    for (const TilePlacement::Entry &e : placed) {
+        if (e.tile == home_tile) {
+            home_mols = &e.molecules;
+            break;
+        }
+    }
 
-    u32 probes = static_cast<u32>(plan.home.size());
+    u32 probes = static_cast<u32>(home_mols->size());
     double energy = tileAccessEnergyNj(probes);
     // The ASID stage gates every tile visit; matching molecules of a
     // tile are probed in parallel behind the single port.
@@ -481,8 +471,7 @@ MolecularCache::access(const MemAccess &a)
             // churn, so re-check the figure-3 ASID gate and the home
             // tile before trusting the verification probe.  A molecule
             // that passes both is in today's home schedule (its tile
-            // never changes; an admitted molecule on the home tile is
-            // either the region's own or shared-bit, both probed).
+            // never changes; an admitted molecule is the region's own).
             if (m.admits(a.asid) && m.tile() == region.homeTile() &&
                 m.probe(a.addr) == Molecule::ProbeOutcome::Hit) {
                 hit_mol = &m;
@@ -493,23 +482,25 @@ MolecularCache::access(const MemAccess &a)
             }
         }
         if (hit_mol == nullptr) {
-            hit_mol = probeTile(home, plan.home, a.addr);
+            hit_mol = probeTile(region, home, *home_mols, a.addr);
             if (hit_mol != nullptr)
                 *memo_slot = WayMemoEntry{tag_bits, hit_mol->id()};
         }
     } else {
-        hit_mol = probeTile(home, plan.home, a.addr);
+        hit_mol = probeTile(region, home, *home_mols, a.addr);
     }
 
-    if (hit_mol == nullptr && !plan.remote.empty()) {
+    if (hit_mol == nullptr) {
         // Tile miss: Ulmo forwards to the region's other tiles.
-        for (const TileProbes &tp : plan.remote) {
-            const u32 n = static_cast<u32>(tp.molecules.size());
+        for (const TilePlacement::Entry &e : placed) {
+            if (e.tile == home_tile)
+                continue;
+            const u32 n = static_cast<u32>(e.molecules.size());
             energy += ulmoHopNj_ + tileAccessEnergyNj(n);
             latency += params_.ulmoHopCycles + params_.asidStageCycles +
                        params_.moleculeAccessCycles;
             probes += n;
-            hit_mol = probeTile(tiles_[tp.tile.value()], tp.molecules,
+            hit_mol = probeTile(region, tiles_[e.tile.value()], e.molecules,
                                 a.addr);
             if (hit_mol != nullptr) {
                 level = 1;
@@ -652,14 +643,6 @@ MolecularCache::applyInvalidations(u32 clusters, LineAddr lineAddr,
                     if (molecule(id).invalidate(lineAddr.value()))
                         stats_.recordWriteback(asid);
                 }
-            }
-        }
-        // Shared-bit molecules on the cluster's tiles.
-        for (const TileId t : ulmos_[c.value()].tiles()) {
-            for (const MoleculeId id : sharedByTile_[t.value()]) {
-                Molecule &m = molecule(id);
-                if (m.invalidate(lineAddr.value()))
-                    stats_.recordWriteback(m.configuredAsid());
             }
         }
     }
@@ -961,8 +944,6 @@ MolecularCache::decommissionMolecule(MoleculeId id)
     const Asid owner = m.configuredAsid();
 
     if (!m.isFree()) {
-        if (m.sharedBit())
-            setSharedMolecule(id, false);
         for (auto &[asid, region] : regions_) {
             if (!region.contains(id))
                 continue;

@@ -36,7 +36,6 @@
 #include "core/guardian.hpp"
 #include "fault/fault_injector.hpp"
 #include "core/params.hpp"
-#include "core/placement.hpp"
 #include "core/region.hpp"
 #include "core/resizer.hpp"
 #include "core/tile.hpp"
@@ -72,9 +71,9 @@ class MolecularCache final : public CacheModel,
     bool hasApplication(Asid asid) const;
 
     /** Remove the partition and free its molecules.  Statistics for the
-     * ASID survive (migration re-registers under the same ASID); callers
-     * recycling the ASID for a *new* application follow up with
-     * retireApplicationStats(). */
+     * ASID survive (a re-registration under the same ASID keeps
+     * counting); callers recycling the ASID for a *new* application
+     * follow up with retireApplicationStats(). */
     void unregisterApplication(Asid asid);
 
     /**
@@ -182,7 +181,7 @@ class MolecularCache final : public CacheModel,
     std::vector<Asid> registeredAsids() const;
 
     /** Valid lines currently resident across @p asid's region — what a
-     * forced migration or decommission would invalidate (service-level
+     * forced remap or decommission would invalidate (service-level
      * remap-churn accounting, docs/fault_model.md). */
     u32 residentLines(Asid asid) const;
 
@@ -192,30 +191,10 @@ class MolecularCache final : public CacheModel,
   private:
     // Simulator-only single-threaded mutators, reachable through the
     // SimAccess facade (core/sim_access.hpp) and nothing else.  Every
-    // one of them either rewires the cache mid-run (fault injection,
-    // audit hooks, shared bits) or tears a region down and rebuilds it
-    // (migration) — correct under the trace-replay harness, undefined
-    // under concurrent access from service worker threads.
+    // one of them rewires the cache mid-run (fault injection, audit
+    // hooks) — correct under the trace-replay harness, undefined under
+    // concurrent access from service worker threads.
     friend class SimAccess;
-
-    /**
-     * Move an application's entry point to another tile (the paper's
-     * non-static processor-tile mapping, changed on a context switch).
-     * Within the same cluster the region's molecules stay in place (they
-     * become remote probes served via Ulmo and are re-acquired by the
-     * new home tile through normal resizing).  Across clusters the
-     * partition is rebuilt at the destination — regions are confined to
-     * one tile cluster, Ulmo's search domain — so cached contents are
-     * dropped (dirty lines written back).
-     *
-     * @param cluster       destination cluster
-     * @param tileInCluster  destination tile, cluster-local index
-     */
-    void migrateApplication(Asid asid, ClusterId cluster, u32 tileInCluster);
-
-    /** Configure a molecule's shared bit (it is probed by every request
-     * entering its tile, regardless of ASID — paper figure 3). */
-    void setSharedMolecule(MoleculeId id, bool shared);
 
     /** Install a deterministic fault schedule, driven off the access
      * tick; replaces any previous schedule. */
@@ -276,16 +255,24 @@ class MolecularCache final : public CacheModel,
     }
 
     /**
-     * Probe @p mols, in order, on @p tile; @return the first hit
-     * molecule or nullptr.  Scans one row of the tile's line-major
-     * struct-of-arrays tag view (Tile::lineTags) with one rarely-taken
-     * branch per probe; a poisoned slot met before the hit fails its
-     * parity check, is scrubbed in schedule order and reads as a miss,
-     * and nothing after the hit is touched.  The one tag-probe loop for
-     * home and remote tiles alike.
+     * Probe @p mols (@p region's molecules on @p tile), in order;
+     * @return the first hit molecule or nullptr.  Scans one row of the
+     * tile's line-major struct-of-arrays tag view (Tile::lineTags) with
+     * one rarely-taken branch per probe; a poisoned slot met before the
+     * hit fails its parity check, is scrubbed in schedule order
+     * (scrubRegionLine) and reads as a miss, and nothing after the hit
+     * is touched.  The one tag-probe loop for home and remote tiles
+     * alike.
      */
-    Molecule *probeTile(Tile &tile, const std::vector<MoleculeId> &mols,
-                        Addr addr);
+    Molecule *probeTile(const Region &region, Tile &tile,
+                        const std::vector<MoleculeId> &mols, Addr addr);
+
+    /** Drop the poisoned slot @p addr maps to in @p mol and the rest of
+     * its region line (paper section 3.2: the line-multiple group is
+     * the unit of allocation, so the refill brings it back whole into
+     * one molecule).  The sibling lines' data is intact: dirty ones are
+     * written back. */
+    void scrubRegionLine(const Region &region, Molecule &mol, Addr addr);
 
     /** One way-memoization prediction: the last molecule that produced
      * a home-tile hit for a line address hashing to this slot.  The
@@ -315,9 +302,10 @@ class MolecularCache final : public CacheModel,
         return &memo.slots[(addr >> lineShift_) & memo.mask];
     }
 
-    /** Rebuild @p region's memo table when the region outgrew it or was
-     * re-homed (sized to the region's capacity in lines, rounded up to
-     * a power of two), then stamp it with the region's generation. */
+    /** Rebuild @p region's memo table when the region outgrew it or
+     * its slot was recycled (sized to the region's capacity in lines,
+     * rounded up to a power of two), then stamp it with the region's
+     * generation. */
     void revalidateWayMemo(const Region &region);
 
     /** Drop @p asid's memo table unconditionally (ASID recycling: a new
@@ -386,16 +374,11 @@ class MolecularCache final : public CacheModel,
     u64 probesTotal_ = 0;
     u64 enabledIntegral_ = 0;
 
-    // Shared-bit molecules per tile (probed by every request entering
-    // the tile), indexed densely by tile.  sharedGen_ invalidates the
-    // probe-schedule memos that folded these lists in.
-    std::vector<std::vector<MoleculeId>> sharedByTile_;
-    u64 sharedGen_ = 0;
-
     // Way-memoization state (docs/perf.md).  One table per ASID,
     // parallel to regionIndex_.  Entries survive region membership
     // churn: a prediction is re-validated live (ASID gate + home tile +
-    // the verification probe), so only a re-homing drops the table.
+    // the verification probe), so only growth or ASID recycling drops
+    // the table.
     struct WayMemo
     {
         static constexpr u64 kNoStamp = ~0ull;

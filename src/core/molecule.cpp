@@ -82,7 +82,6 @@ Molecule::release()
 {
     const u32 dirty = dropAllLines();
     asid_ = kInvalidAsid;
-    shared_ = false;
     return dirty;
 }
 

@@ -5,8 +5,9 @@
  * Molecules are the homogeneous building blocks of the molecular cache
  * (paper section 3).  Each is direct mapped with 64 B lines and is gated
  * by an ASID comparator: a molecule only participates in lookups whose
- * requestor ASID matches its configured ASID, unless its shared bit is
- * set (figure 3 of the paper).
+ * requestor ASID matches its configured ASID (figure 3 of the paper).
+ * The figure's shared bit is not modelled: every region is private to
+ * one application, so no molecule answers a foreign ASID.
  */
 
 #ifndef MOLCACHE_CORE_MOLECULE_HPP
@@ -81,15 +82,9 @@ class Molecule
     /** ASID gate (paper figure 3). */
     Asid configuredAsid() const { return asid_; }
     bool isFree() const { return asid_ == kInvalidAsid; }
-    bool sharedBit() const { return shared_; }
-    void setSharedBit(bool shared) { shared_ = shared; }
 
     /** True if a request from @p requestor may proceed past the gate. */
-    bool
-    admits(Asid requestor) const
-    {
-        return shared_ || asid_ == requestor;
-    }
+    bool admits(Asid requestor) const { return asid_ == requestor; }
 
     /** Configure the molecule into an application's region (invalidates
      * contents: the previous owner's lines must not leak). */
@@ -254,7 +249,6 @@ class Molecule
     u32 lineShift_ = 0; ///< log2(lineSize_)
     u32 tagShift_ = 0;  ///< log2(lineSize_ * numLines_)
     Asid asid_ = kInvalidAsid;
-    bool shared_ = false;
     /** @{ Struct-of-arrays line state, indexed through slot().  Either
      * strided views into the owning tile's line-major arrays (hot
      * configuration: line i of this molecule is `stride_` =

@@ -286,26 +286,4 @@ Region::closeInterval()
         e.miss = 0;
 }
 
-void
-Region::rebuildSchedule(u64 sharedGen,
-                        const std::vector<MoleculeId> *sharedHome)
-{
-    ProbeSchedule &s = schedule_;
-    s.home.clear();
-    s.remote.clear();
-    for (const auto &[tile, mols] : byTile_) {
-        if (tile == homeTile_)
-            s.home.insert(s.home.end(), mols.begin(), mols.end());
-        else
-            s.remote.push_back(TileProbes{tile, mols});
-    }
-    // Shared-bit molecules of the entry tile answer every request.
-    if (sharedHome != nullptr)
-        for (const MoleculeId m : *sharedHome)
-            if (!contains(m))
-                s.home.push_back(m);
-    scheduleGen_ = generation_;
-    scheduleSharedGen_ = sharedGen;
-}
-
 } // namespace molcache

@@ -14,12 +14,12 @@
  * With the Random placement policy the view degenerates to a single row
  * containing every molecule.
  *
- * Hot-path design (docs/perf.md): membership changes only at resize,
- * fault and migration events — rare next to the millions of accesses
- * between them — so all per-molecule bookkeeping lives in flat sorted
- * vectors (no node-based maps) and the per-access probe schedule is
- * memoized.  A generation counter bumped by every mutation invalidates
- * the cached schedule lazily.
+ * Hot-path design (docs/perf.md): membership changes only at resize
+ * and fault events — rare next to the millions of accesses between
+ * them — so all per-molecule bookkeeping lives in flat sorted vectors
+ * (no node-based maps).  byTile() is the probe schedule itself: the
+ * home tile's entry is probed first, the other entries in ascending
+ * tile order via Ulmo (paper section 3.3).
  */
 
 #ifndef MOLCACHE_CORE_REGION_HPP
@@ -34,27 +34,6 @@
 #include "util/units.hpp"
 
 namespace molcache {
-
-/** Probes for one tile (one hop of a hierarchical lookup). */
-struct TileProbes
-{
-    TileId tile{};
-    std::vector<MoleculeId> molecules;
-};
-
-/**
- * A memoized probe schedule: everything one access needs to visit, in
- * probe order.  `home` already folds in the entry tile's shared-bit
- * molecules so the access loop touches exactly two arrays.
- */
-struct ProbeSchedule
-{
-    /** Molecules to probe on the region's home tile (region members
-     * first, then foreign shared-bit molecules of that tile). */
-    std::vector<MoleculeId> home;
-    /** Remote tiles, ascending tile order, probed via Ulmo. */
-    std::vector<TileProbes> remote;
-};
 
 /**
  * Molecules per hosting tile: a flat vector of (tile, molecules)
@@ -115,16 +94,6 @@ class Region
     Asid asid() const { return asid_; }
     TileId homeTile() const { return homeTile_; }
     ClusterId homeCluster() const { return homeCluster_; }
-
-    /** Re-home the region onto another tile of the SAME cluster (the
-     * paper's non-static processor-tile mapping on context switch);
-     * molecules stay where they are and become remote probes. */
-    void
-    rehome(TileId tile)
-    {
-        homeTile_ = tile;
-        ++generation_;
-    }
     u32 lineMultiple() const { return lineMultiple_; }
     PlacementPolicy policy() const { return policy_; }
 
@@ -133,42 +102,20 @@ class Region
     u32 rowMax() const { return static_cast<u32>(rows_.size()); }
     const std::vector<std::vector<MoleculeId>> &rows() const { return rows_; }
 
-    /** Molecules per hosting tile, ascending tile order. */
+    /** Molecules per hosting tile, ascending tile order — the probe
+     * schedule of every access (the home tile stays fixed for the
+     * region's lifetime). */
     const TilePlacement &byTile() const { return byTile_; }
 
     /** True if @p mol belongs to this region. */
     bool contains(MoleculeId mol) const { return findMol(mol) != nullptr; }
 
     /**
-     * Membership/topology generation: bumped by addMolecule,
-     * removeMolecule and rehome.  Anything derived from the membership
-     * (notably the memoized probe schedules) is stale once it changes.
+     * Membership generation: bumped by addMolecule and removeMolecule.
+     * Anything derived from the membership (the way-memo tables) is
+     * stale once it changes.
      */
     u64 generation() const { return generation_; }
-
-    /**
-     * The memoized probe schedule (docs/perf.md).  Rebuilt lazily when
-     * the region generation or @p sharedGen moved since the cached copy
-     * was computed; steady-state calls are two stamp compares and
-     * allocation-free.
-     *
-     * Matches planLookup(*this, homeTile()) with the foreign molecules
-     * of @p sharedHome (the home tile's shared-bit list, may be null)
-     * appended to the home probes — pinned by
-     * tests/core/probe_schedule_test.cpp.
-     *
-     * @param sharedGen  generation of the caller's shared-bit state
-     * @param sharedHome shared-bit molecules hosted on homeTile()
-     */
-    const ProbeSchedule &
-    probeSchedule(u64 sharedGen, const std::vector<MoleculeId> *sharedHome)
-    {
-        const bool stale =
-            scheduleGen_ != generation_ || scheduleSharedGen_ != sharedGen;
-        if (stale) [[unlikely]]
-            rebuildSchedule(sharedGen, sharedHome);
-        return schedule_;
-    }
 
     /**
      * Add @p mol (hosted on @p tile) to the region.
@@ -289,16 +236,11 @@ class Region
     MolEntry *findMol(MoleculeId mol);
     const MolEntry *findMol(MoleculeId mol) const;
 
-    /** Rebuild the cached schedule against the current membership +
-     * shared list and stamp it with the current generations. */
-    void rebuildSchedule(u64 sharedGen,
-                         const std::vector<MoleculeId> *sharedHome);
-
     Asid asid_;
     PlacementPolicy policy_;
     u32 lineMultiple_;
-    TileId homeTile_;
-    ClusterId homeCluster_;
+    const TileId homeTile_;
+    const ClusterId homeCluster_;
     Bytes moleculeSize_;
     u32 initialRows_;
 
@@ -308,12 +250,6 @@ class Region
     TilePlacement byTile_;
     u32 size_ = 0;
     u64 generation_ = 0;
-
-    // Probe-schedule memo, rebuilt lazily on (generation, sharedGen)
-    // mismatch.
-    ProbeSchedule schedule_;
-    u64 scheduleGen_ = ~0ull;
-    u64 scheduleSharedGen_ = ~0ull;
 
     u64 intervalAccesses_ = 0;
     u64 intervalMisses_ = 0;

@@ -5,11 +5,9 @@
  * The molcached service (src/service/) shares MolecularCache with the
  * trace-replay harness, but a handful of mutators are only correct on a
  * quiescent single-threaded cache: fault injection rewires tiles mid
- * run, setAuditHook installs re-entrant callbacks, setSharedMolecule
- * flips probe filtering under every region's feet, and migration tears
- * a partition down and rebuilds it.  Those used to be public methods —
- * nothing stopped future service code from calling them off a worker
- * thread with only a shard lock held.
+ * run and setAuditHook installs re-entrant callbacks.  Those used to be
+ * public methods — nothing stopped future service code from calling
+ * them off a worker thread with only a shard lock held.
  *
  * They are now private to MolecularCache and reachable only through
  * this friend facade.  The rule is mechanical, so machine-checkable:
@@ -45,18 +43,6 @@ class SimAccess
     }
 
     /** @{ See the MolecularCache declarations for semantics. */
-    void
-    migrateApplication(Asid asid, ClusterId cluster, u32 tileInCluster)
-    {
-        cache_.migrateApplication(asid, cluster, tileInCluster);
-    }
-
-    void
-    setSharedMolecule(MoleculeId id, bool shared)
-    {
-        cache_.setSharedMolecule(id, shared);
-    }
-
     void
     setFaultInjector(FaultInjector injector)
     {

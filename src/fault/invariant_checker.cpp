@@ -111,9 +111,9 @@ InvariantChecker::check(const MolecularCache &cache)
                     fail("decommissioned " + molName(id) +
                          " still holds valid lines");
                 ++rep.checksRun;
-                if (!m.isFree() || m.sharedBit())
+                if (!m.isFree())
                     fail("decommissioned " + molName(id) +
-                         " gate not fenced (asid or shared bit set)");
+                         " gate not fenced (asid set)");
                 ++rep.checksRun;
                 if (owner.count(id))
                     fail("decommissioned " + molName(id) +

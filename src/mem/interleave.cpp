@@ -51,78 +51,24 @@ VectorSource::nextBatch(MemAccess *out, size_t max)
 }
 
 Interleaver::Interleaver(std::vector<std::unique_ptr<AccessSource>> sources,
-                         MixPolicy policy, std::vector<double> weights,
-                         u64 seed, u64 limit)
-    : policy_(policy), rng_(seed), limit_(limit)
+                         u64 limit)
+    : limit_(limit)
 {
     MOLCACHE_ASSERT(!sources.empty(), "interleaver needs >= 1 source");
-    if (policy_ == MixPolicy::Weighted) {
-        if (weights.size() != sources.size())
-            fatal("weighted interleave needs one weight per source");
-        for (const double w : weights)
-            if (w <= 0.0)
-                fatal("interleave weights must be positive");
-    }
     slots_.reserve(sources.size());
-    for (size_t i = 0; i < sources.size(); ++i) {
-        Slot slot;
-        slot.source = std::move(sources[i]);
-        slot.weight = policy_ == MixPolicy::Weighted ? weights[i] : 1.0;
-        slots_.push_back(std::move(slot));
-    }
+    for (auto &source : sources)
+        slots_.push_back(Slot{std::move(source)});
 }
 
 int
 Interleaver::pickSource()
 {
-    const auto live_count = static_cast<u32>(
-        std::count_if(slots_.begin(), slots_.end(),
-                      [](const Slot &s) { return s.live; }));
-    if (live_count == 0)
-        return -1;
-
-    switch (policy_) {
-      case MixPolicy::RoundRobin: {
-        for (size_t step = 0; step < slots_.size(); ++step) {
-            const size_t idx = (rrNext_ + step) % slots_.size();
-            if (slots_[idx].live) {
-                rrNext_ = (idx + 1) % slots_.size();
-                return static_cast<int>(idx);
-            }
+    for (size_t step = 0; step < slots_.size(); ++step) {
+        const size_t idx = (rrNext_ + step) % slots_.size();
+        if (slots_[idx].live) {
+            rrNext_ = (idx + 1) % slots_.size();
+            return static_cast<int>(idx);
         }
-        return -1;
-      }
-      case MixPolicy::Weighted: {
-        // Credit scheduler: every live slot earns its weight per step; the
-        // richest slot is served and pays the total weight issued this
-        // step, so long-run service is proportional to weight.
-        int best = -1;
-        double total = 0.0;
-        for (size_t i = 0; i < slots_.size(); ++i) {
-            if (!slots_[i].live)
-                continue;
-            slots_[i].credit += slots_[i].weight;
-            total += slots_[i].weight;
-            if (best < 0 ||
-                slots_[i].credit > slots_[static_cast<size_t>(best)].credit) {
-                best = static_cast<int>(i);
-            }
-        }
-        if (best >= 0)
-            slots_[static_cast<size_t>(best)].credit -= total;
-        return best;
-      }
-      case MixPolicy::Random: {
-        u32 pick = rng_.below(live_count);
-        for (size_t i = 0; i < slots_.size(); ++i) {
-            if (!slots_[i].live)
-                continue;
-            if (pick == 0)
-                return static_cast<int>(i);
-            --pick;
-        }
-        return -1;
-      }
     }
     return -1;
 }

@@ -4,13 +4,9 @@
  *
  * A CMP with N cores presents the shared cache with an interleaving of N
  * per-application reference streams.  The paper's concurrency experiments
- * (Table 1, Figure 5, Table 2) replay such merged traces; molcache models
- * the merge explicitly so the mix policy is controllable:
- *
- *  - RoundRobin: one reference per application per turn (symmetric cores);
- *  - Weighted:   applications issue in proportion to weights (models
- *                different memory intensities);
- *  - Random:     each slot picks a uniformly random application.
+ * (Table 1, Figure 5, Table 2) replay such merged traces; molcache merges
+ * them round robin, one reference per application per turn (symmetric
+ * cores).
  */
 
 #ifndef MOLCACHE_MEM_INTERLEAVE_HPP
@@ -22,7 +18,6 @@
 
 #include "mem/access.hpp"
 #include "mem/phase_hint.hpp"
-#include "util/random.hpp"
 #include "util/types.hpp"
 
 namespace molcache {
@@ -69,28 +64,24 @@ class VectorSource final : public AccessSource
     size_t pos_ = 0;
 };
 
-/** Interleaving discipline. */
-enum class MixPolicy { RoundRobin, Weighted, Random };
+/** Round robin only; perfbench still passes it to makeMultiProgramSource. */
+enum class MixPolicy { RoundRobin };
 
 /**
- * Merge several per-application sources into one stream.  Exhausted
- * sources drop out of the rotation; the merged stream ends when all
- * sources are dry or when @p limit references have been produced.
+ * Merge several per-application sources into one stream, round robin.
+ * Exhausted sources drop out of the rotation; the merged stream ends
+ * when all sources are dry or when @p limit references have been
+ * produced.
  */
 class Interleaver final : public AccessSource
 {
   public:
     /**
      * @param sources  one source per application
-     * @param policy   mixing discipline
-     * @param weights  per-source weights (Weighted policy only; must match
-     *                 sources.size(); values need not be normalized)
-     * @param seed     RNG seed (Random policy)
      * @param limit    stop after this many merged references (0 = no limit)
      */
-    Interleaver(std::vector<std::unique_ptr<AccessSource>> sources,
-                MixPolicy policy, std::vector<double> weights = {},
-                u64 seed = 1, u64 limit = 0);
+    explicit Interleaver(std::vector<std::unique_ptr<AccessSource>> sources,
+                         u64 limit = 0);
 
     std::optional<MemAccess> next() override;
 
@@ -114,15 +105,10 @@ class Interleaver final : public AccessSource
     struct Slot
     {
         std::unique_ptr<AccessSource> source;
-        double weight = 1.0;
-        /** Deficit counter for weighted round robin. */
-        double credit = 0.0;
         bool live = true;
     };
 
     std::vector<Slot> slots_;
-    MixPolicy policy_;
-    Pcg32 rng_;
     u64 limit_;
     u64 produced_ = 0;
     size_t rrNext_ = 0;

@@ -293,8 +293,6 @@ makeAdversarialSource(const std::vector<AdversaryKind> &apps,
             hints[i]));
     }
     return std::make_unique<Interleaver>(std::move(sources),
-                                         MixPolicy::RoundRobin,
-                                         std::vector<double>{}, seed,
                                          totalReferences);
 }
 

@@ -43,7 +43,7 @@ generateTrace(const BenchmarkProfile &profile, Asid asid, u64 n, u64 seed)
 
 std::unique_ptr<AccessSource>
 makeMultiProgramSource(const std::vector<std::string> &profileNames,
-                       u64 totalReferences, MixPolicy policy, u64 seed)
+                       u64 totalReferences, MixPolicy, u64 seed)
 {
     MOLCACHE_ASSERT(!profileNames.empty(), "no profiles given");
     std::vector<std::unique_ptr<AccessSource>> sources;
@@ -53,8 +53,7 @@ makeMultiProgramSource(const std::vector<std::string> &profileNames,
             profileByName(profileNames[i]), static_cast<Asid>(i),
             /*limit=*/0, seed));
     }
-    return std::make_unique<Interleaver>(std::move(sources), policy,
-                                         std::vector<double>{}, seed,
+    return std::make_unique<Interleaver>(std::move(sources),
                                          totalReferences);
 }
 

@@ -51,8 +51,9 @@ std::vector<MemAccess> generateTrace(const BenchmarkProfile &profile,
 
 /**
  * Build the merged multi-application stream the shared cache sees:
- * one TraceGenerator per named profile (ASIDs 0..n-1 in list order),
- * mixed with the given policy, ending after @p totalReferences.
+ * one TraceGenerator per named profile (ASIDs 0..n-1 in list order,
+ * each seeded with @p seed), merged round robin, ending after
+ * @p totalReferences.
  */
 std::unique_ptr<AccessSource>
 makeMultiProgramSource(const std::vector<std::string> &profileNames,

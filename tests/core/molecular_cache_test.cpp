@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <map>
 #include <vector>
 
 #include "fault/invariant_checker.hpp"
@@ -169,30 +171,97 @@ TEST(MolecularCache, LineMultipleAlignsDown)
     EXPECT_TRUE(cache.access(read(0x1080)).hit);
 }
 
-TEST(MolecularCache, SharedMoleculeServesAllAsids)
+TEST(MolecularCache, HomeTileFirstThenRemoteTilesAscending)
 {
-    MolecularCacheParams p = smallParams();
-    p.resizePeriod = 1u << 30;
+    MolecularCacheParams p;
+    p.moleculeSize = 8_KiB;
+    p.moleculesPerTile = 3;
+    p.tilesPerCluster = 3;
+    p.clusters = 1;
+    p.placement = PlacementPolicy::Random;
+    p.initialAllocation = InitialAllocation::Small;
+    p.initialMolecules = 3;
+    // Resize on every access, but Algorithm 1 never decides: only the
+    // re-acquisition of decommissioned capacity grants molecules.
+    p.resizeScheme = ResizeScheme::PerAppAdaptive;
+    p.resizePeriod = 1;
+    p.minResizePeriod = 1;
     p.maxResizePeriod = 1u << 30;
+    p.minIntervalSample = 1ull << 40;
+    p.asidStageCycles = Cycles{1};
+    p.moleculeAccessCycles = Cycles{1};
+    p.ulmoHopCycles = Cycles{5};
     MolecularCache cache(p);
-    // Both apps enter through tile 0 of cluster 0.
+    SimAccess sim(cache);
     cache.registerApplication(Asid{0}, 0.1, ClusterId{0}, 0, 1);
-    cache.registerApplication(Asid{2}, 0.1, ClusterId{0}, 0, 1);
-    cache.access(read(0x2000, 0)); // app 0 caches the line
-    const MoleculeId holder = [&] {
-        for (const auto &[tile, mols] : cache.region(Asid{0}).byTile())
-            for (const MoleculeId m : mols)
-                if (cache.molecule(m).lookup(0x2000))
-                    return m;
-        return kInvalidMolecule;
-    }();
-    ASSERT_NE(holder, kInvalidMolecule);
-    SimAccess{cache}.setSharedMolecule(holder, true);
-    // The shared hit services app 2 without filling its own region...
-    EXPECT_TRUE(cache.access(read(0x2000, 2)).hit);
-    SimAccess{cache}.setSharedMolecule(holder, false);
-    // ...so once unshared, app 2 no longer sees the line.
-    EXPECT_FALSE(cache.access(read(0x2000, 2)).hit);
+    // Molecules 0-2 on tile 0.  Fence two of tile 1's free molecules,
+    // then two of the region's: the re-grant finds tile 0 empty, takes
+    // tile 1's last free molecule (3) and then tile 2's first (6).
+    for (const u32 id : {4u, 5u, 1u, 2u})
+        sim.decommissionMolecule(MoleculeId{id});
+    cache.access(read(0x0));
+    const Region &region = cache.region(Asid{0});
+    ASSERT_EQ(region.byTile().size(), 3u);
+    ASSERT_EQ(region.byTile().at(TileId{0}),
+              std::vector<MoleculeId>{MoleculeId{0}});
+    ASSERT_EQ(region.byTile().at(TileId{1}),
+              std::vector<MoleculeId>{MoleculeId{3}});
+    ASSERT_EQ(region.byTile().at(TileId{2}),
+              std::vector<MoleculeId>{MoleculeId{6}});
+
+    // Cache distinct lines until each molecule holds one of them.
+    std::map<u32, Addr> lineIn; // molecule id -> a line it holds
+    for (Addr addr = 0x40; lineIn.size() < 3 && addr < 0x2000;
+         addr += 0x40) {
+        cache.access(read(addr));
+        for (const u32 id : {0u, 3u, 6u})
+            if (cache.molecule(MoleculeId{id}).lookup(addr))
+                lineIn.emplace(id, addr);
+    }
+    ASSERT_EQ(lineIn.size(), 3u);
+
+    const auto probesOf = [&cache](Addr addr, AccessResult &r) {
+        const auto total = [&cache] {
+            return std::llround(cache.averageProbesPerAccess() *
+                                static_cast<double>(
+                                    cache.stats().global().accesses));
+        };
+        const auto before = total();
+        r = cache.access(read(addr));
+        return total() - before;
+    };
+    AccessResult r;
+    // Home tile: the ASID stage and one molecule access, level 0.
+    EXPECT_EQ(probesOf(lineIn.at(0), r), 1);
+    EXPECT_TRUE(r.hit);
+    EXPECT_EQ(r.level, 0u);
+    EXPECT_EQ(r.latencyCycles, Cycles{2});
+    // First remote tile: plus one Ulmo hop (5 + 1 + 1), level 1.
+    EXPECT_EQ(probesOf(lineIn.at(3), r), 2);
+    EXPECT_TRUE(r.hit);
+    EXPECT_EQ(r.level, 1u);
+    EXPECT_EQ(r.latencyCycles, Cycles{9});
+    // Second remote tile: tile 1 is visited on the way.
+    EXPECT_EQ(probesOf(lineIn.at(6), r), 3);
+    EXPECT_TRUE(r.hit);
+    EXPECT_EQ(r.level, 1u);
+    EXPECT_EQ(r.latencyCycles, Cycles{16});
+
+    // No molecule left on the home tile: the entry visit probes nothing
+    // and every hit is remote.  The re-grant after it takes molecule 7.
+    sim.decommissionMolecule(MoleculeId{0});
+    EXPECT_EQ(probesOf(lineIn.at(3), r), 1);
+    EXPECT_TRUE(r.hit);
+    EXPECT_EQ(r.level, 1u);
+    EXPECT_EQ(r.latencyCycles, Cycles{9});
+
+    // No molecule left at all: nothing is probed and the access misses.
+    for (const u32 id : {3u, 6u, 7u, 8u})
+        sim.decommissionMolecule(MoleculeId{id});
+    ASSERT_TRUE(region.empty());
+    EXPECT_EQ(probesOf(lineIn.at(6), r), 0);
+    EXPECT_FALSE(r.hit);
+    EXPECT_EQ(r.level, 2u);
 }
 
 TEST(MolecularCache, CrossClusterInvalidationOnSharedAddress)

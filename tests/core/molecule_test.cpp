@@ -19,7 +19,6 @@ TEST(Molecule, StartsFree)
     const Molecule m = makeMol();
     EXPECT_TRUE(m.isFree());
     EXPECT_EQ(m.configuredAsid(), kInvalidAsid);
-    EXPECT_FALSE(m.sharedBit());
     EXPECT_EQ(m.validLines(), 0u);
     EXPECT_EQ(m.id(), MoleculeId{5});
     EXPECT_EQ(m.tile(), TileId{1});
@@ -31,8 +30,6 @@ TEST(Molecule, AsidGate)
     m.assignTo(Asid{7});
     EXPECT_TRUE(m.admits(Asid{7}));
     EXPECT_FALSE(m.admits(Asid{8}));
-    m.setSharedBit(true);
-    EXPECT_TRUE(m.admits(Asid{8})); // shared bit overrides the comparator
 }
 
 TEST(Molecule, FillThenLookup)

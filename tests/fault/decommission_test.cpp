@@ -239,8 +239,8 @@ TEST(TransientFlip, PoisonBeforeHitIsScrubbedInScheduleOrder)
     for (const Addr a : addrs)
         cache.access({a, Asid{0}, AccessType::Read});
 
-    // Holders in home-schedule order (no shared bits: the region's own
-    // home-tile molecules in grant order).
+    // Holders in home-schedule order (the region's own home-tile
+    // molecules in grant order).
     std::vector<std::pair<MoleculeId, Addr>> holders;
     for (const MoleculeId id : region.byTile().at(region.homeTile()))
         for (const Addr a : addrs)
@@ -270,6 +270,74 @@ TEST(TransientFlip, PoisonBeforeHitIsScrubbedInScheduleOrder)
     EXPECT_TRUE(cache.molecule(after).lookup(kept));
     expectClean(cache);
 }
+
+/**
+ * A flip on one line of a region line (line multiple 2): the scrub
+ * drops the whole group and writes its dirty sibling back, so the
+ * refill brings the group back whole into one molecule instead of
+ * leaving the sibling behind in another (paper section 3.2: the region
+ * line is the unit of allocation).  Under Randy the address's row is
+ * two molecules wide, so the refill has somewhere else to land.
+ */
+class ScrubRegionLine : public ::testing::TestWithParam<PlacementPolicy>
+{
+};
+
+TEST_P(ScrubRegionLine, RefillKeepsTheGroupInOneMolecule)
+{
+    MolecularCacheParams p = smallParams();
+    p.placement = GetParam();
+    p.moleculesPerTile = 16;
+    p.initialMolecules = 16; // Randy: 8 rows of width 2
+    p.resizePeriod = 1'000'000;
+    p.maxResizePeriod = 1'000'000;
+    MolecularCache cache(p);
+    cache.registerApplication(Asid{0}, 0.1, ClusterId{0}, 0,
+                              /*lineMultiple=*/2);
+    for (const auto &row : cache.region(Asid{0}).rows())
+        ASSERT_GE(row.size(), 2u);
+
+    const auto holders = [&cache](Addr addr) {
+        std::vector<MoleculeId> out;
+        for (const auto &[tile, mols] : cache.region(Asid{0}).byTile())
+            for (const MoleculeId id : mols)
+                if (cache.molecule(id).lookup(addr))
+                    out.push_back(id);
+        return out;
+    };
+    const u32 lines = cache.params().linesPerMolecule();
+    // One group per round, each at its own slot pair: no fill ever
+    // displaces an earlier group, so every count below is exact.
+    for (u32 g = 0; g < lines / 2; ++g) {
+        const Addr addr = addrFor(Asid{0}, 2 * g);
+        const Addr sibling = addr + 64;
+        cache.access({sibling, Asid{0}, AccessType::Write}); // group, dirty
+        const std::vector<MoleculeId> held = holders(addr);
+        ASSERT_EQ(held.size(), 1u);
+        ASSERT_EQ(holders(sibling), held);
+        SimAccess{cache}.injectTransientFlip(held.front(), 2 * g);
+
+        const u64 writebacks = cache.stats().forAsid(Asid{0}).writebacks;
+        const AccessResult r =
+            cache.access({addr, Asid{0}, AccessType::Read});
+        EXPECT_FALSE(r.hit);
+        EXPECT_EQ(cache.faultStats().transientFlipsDetected, g + 1);
+        EXPECT_EQ(cache.faultStats().dirtyLinesLost, 0u);
+        EXPECT_EQ(cache.stats().forAsid(Asid{0}).writebacks,
+                  writebacks + 1); // the intact dirty sibling
+        const std::vector<MoleculeId> refilled = holders(addr);
+        EXPECT_EQ(refilled.size(), 1u);
+        EXPECT_EQ(holders(sibling), refilled);
+        const auto dir = InvariantChecker::checkDirectory(cache);
+        ASSERT_TRUE(dir.ok()) << "group " << g << ": "
+                              << dir.violations.front();
+    }
+    expectClean(cache);
+}
+
+INSTANTIATE_TEST_SUITE_P(Placements, ScrubRegionLine,
+                         ::testing::Values(PlacementPolicy::Random,
+                                           PlacementPolicy::Randy));
 
 TEST(TileOutage, FencesWholeTileAndRegionMigratesCapacity)
 {

@@ -10,7 +10,6 @@
 #include "cache/set_assoc.hpp"
 #include "cache/way_partitioned.hpp"
 #include "core/molecular_cache.hpp"
-#include "core/sim_access.hpp"
 #include "util/units.hpp"
 
 namespace molcache {
@@ -80,14 +79,18 @@ TEST(Latency, MolecularRemoteHitPaysUlmoHop)
     p.initialAllocation = InitialAllocation::Small;
     p.resizePeriod = 1u << 30;
     p.maxResizePeriod = 1u << 30;
+    p.initialMolecules = p.moleculesPerTile;
     p.asidStageCycles = Cycles{1};
     p.moleculeAccessCycles = Cycles{1};
     p.ulmoHopCycles = Cycles{5};
     MolecularCache cache(p);
+    // ASID 1 takes all of tile 0, so ASID 0's initial allocation, also
+    // entering through tile 0, spills onto tile 1: its lines are remote.
+    cache.registerApplication(Asid{1}, 0.1, ClusterId{0}, 0, 1);
     cache.registerApplication(Asid{0}, 0.1, ClusterId{0}, 0, 1);
-    cache.access(read(0x4000)); // fill on tile 0
-    // Move the entry point: the line is now remote.
-    SimAccess{cache}.migrateApplication(Asid{0}, ClusterId{0}, 1);
+    ASSERT_EQ(cache.region(Asid{0}).byTile().count(TileId{0}), 0u);
+    ASSERT_EQ(cache.region(Asid{0}).byTile().count(TileId{1}), 1u);
+    cache.access(read(0x4000)); // fill on tile 1
     const AccessResult r = cache.access(read(0x4000));
     ASSERT_TRUE(r.hit);
     ASSERT_EQ(r.level, 1u);

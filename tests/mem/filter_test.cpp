@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/random.hpp"
+
 namespace molcache {
 namespace {
 

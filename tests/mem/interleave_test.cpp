@@ -40,7 +40,7 @@ TEST(Interleaver, RoundRobinAlternates)
     std::vector<std::unique_ptr<AccessSource>> sources;
     sources.push_back(constantSource(0, 3));
     sources.push_back(constantSource(1, 3));
-    Interleaver mix(std::move(sources), MixPolicy::RoundRobin);
+    Interleaver mix(std::move(sources));
     std::vector<Asid> order;
     while (auto a = mix.next())
         order.push_back(a->asid);
@@ -53,7 +53,7 @@ TEST(Interleaver, RoundRobinSkipsExhausted)
     std::vector<std::unique_ptr<AccessSource>> sources;
     sources.push_back(constantSource(0, 1));
     sources.push_back(constantSource(1, 4));
-    Interleaver mix(std::move(sources), MixPolicy::RoundRobin);
+    Interleaver mix(std::move(sources));
     const auto counts = drainCounts(mix);
     EXPECT_EQ(counts.at(Asid{0}), 1u);
     EXPECT_EQ(counts.at(Asid{1}), 4u);
@@ -63,66 +63,12 @@ TEST(Interleaver, LimitStopsEarly)
 {
     std::vector<std::unique_ptr<AccessSource>> sources;
     sources.push_back(constantSource(0, 100));
-    Interleaver mix(std::move(sources), MixPolicy::RoundRobin, {}, 1, 10);
+    Interleaver mix(std::move(sources), 10);
     u64 n = 0;
     while (mix.next())
         ++n;
     EXPECT_EQ(n, 10u);
     EXPECT_EQ(mix.produced(), 10u);
-}
-
-TEST(Interleaver, WeightedProportions)
-{
-    std::vector<std::unique_ptr<AccessSource>> sources;
-    sources.push_back(constantSource(0, 100000));
-    sources.push_back(constantSource(1, 100000));
-    Interleaver mix(std::move(sources), MixPolicy::Weighted, {3.0, 1.0}, 1,
-                    40000);
-    const auto counts = drainCounts(mix);
-    // 3:1 service ratio.
-    EXPECT_NEAR(static_cast<double>(counts.at(Asid{0})), 30000.0, 300.0);
-    EXPECT_NEAR(static_cast<double>(counts.at(Asid{1})), 10000.0, 300.0);
-}
-
-TEST(Interleaver, RandomRoughlyBalanced)
-{
-    std::vector<std::unique_ptr<AccessSource>> sources;
-    for (u16 a = 0; a < 4; ++a)
-        sources.push_back(constantSource(a, 100000));
-    Interleaver mix(std::move(sources), MixPolicy::Random, {}, 99, 40000);
-    const auto counts = drainCounts(mix);
-    for (u16 a = 0; a < 4; ++a)
-        EXPECT_NEAR(static_cast<double>(counts.at(Asid{a})), 10000.0,
-                    600.0);
-}
-
-TEST(Interleaver, RandomDeterministicPerSeed)
-{
-    auto build = [](u64 seed) {
-        std::vector<std::unique_ptr<AccessSource>> sources;
-        sources.push_back(constantSource(0, 50));
-        sources.push_back(constantSource(1, 50));
-        return std::make_unique<Interleaver>(std::move(sources),
-                                             MixPolicy::Random,
-                                             std::vector<double>{}, seed);
-    };
-    auto a = build(5), b = build(5);
-    while (true) {
-        const auto x = a->next(), y = b->next();
-        EXPECT_EQ(x.has_value(), y.has_value());
-        if (!x)
-            break;
-        EXPECT_EQ(x->asid, y->asid);
-    }
-}
-
-TEST(InterleaverDeath, WeightedNeedsMatchingWeights)
-{
-    std::vector<std::unique_ptr<AccessSource>> sources;
-    sources.push_back(constantSource(0, 1));
-    EXPECT_EXIT(Interleaver(std::move(sources), MixPolicy::Weighted,
-                            {1.0, 2.0}),
-                ::testing::ExitedWithCode(1), "one weight per source");
 }
 
 } // namespace

@@ -2,9 +2,9 @@
  * @file
  * Pins the zero-allocation property of the steady-state access path
  * (docs/perf.md): once the cache is warm, MolecularCache::access must
- * perform no heap allocations, on hits and on misses alike — the
- * memoized probe schedules and dense indices make the hit path
- * allocation-free, the coherence directory (a chunk table that grows
+ * perform no heap allocations, on hits and on misses alike — probes
+ * read the regions' placement in place and dense indices make the hit
+ * path allocation-free, the coherence directory (a chunk table that grows
  * only with new address chunks, then a per-line table sized from the
  * cache geometry; invalidations as a bitmask) does the same for the
  * miss path, and this test is the gate that keeps it that way.

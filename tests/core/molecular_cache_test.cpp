@@ -171,57 +171,71 @@ TEST(MolecularCache, LineMultipleAlignsDown)
     EXPECT_TRUE(cache.access(read(0x1080)).hit);
 }
 
-TEST(MolecularCache, HomeTileFirstThenRemoteTilesAscending)
+// A one-cluster, three-tile Random region whose molecules 0, 3 and 6
+// sit on tiles 0, 1 and 2 (the home tile is 0), each holding one known
+// line.  Latencies: 1-cycle ASID stage and molecule access, 5-cycle hop.
+class Placement : public ::testing::Test
 {
-    MolecularCacheParams p;
-    p.moleculeSize = 8_KiB;
-    p.moleculesPerTile = 3;
-    p.tilesPerCluster = 3;
-    p.clusters = 1;
-    p.placement = PlacementPolicy::Random;
-    p.initialAllocation = InitialAllocation::Small;
-    p.initialMolecules = 3;
-    // Resize on every access, but Algorithm 1 never decides: only the
-    // re-acquisition of decommissioned capacity grants molecules.
-    p.resizeScheme = ResizeScheme::PerAppAdaptive;
-    p.resizePeriod = 1;
-    p.minResizePeriod = 1;
-    p.maxResizePeriod = 1u << 30;
-    p.minIntervalSample = 1ull << 40;
-    p.asidStageCycles = Cycles{1};
-    p.moleculeAccessCycles = Cycles{1};
-    p.ulmoHopCycles = Cycles{5};
-    MolecularCache cache(p);
-    SimAccess sim(cache);
-    cache.registerApplication(Asid{0}, 0.1, ClusterId{0}, 0, 1);
-    // Molecules 0-2 on tile 0.  Fence two of tile 1's free molecules,
-    // then two of the region's: the re-grant finds tile 0 empty, takes
-    // tile 1's last free molecule (3) and then tile 2's first (6).
-    for (const u32 id : {4u, 5u, 1u, 2u})
-        sim.decommissionMolecule(MoleculeId{id});
-    cache.access(read(0x0));
-    const Region &region = cache.region(Asid{0});
-    ASSERT_EQ(region.byTile().size(), 3u);
-    ASSERT_EQ(region.byTile().at(TileId{0}),
-              std::vector<MoleculeId>{MoleculeId{0}});
-    ASSERT_EQ(region.byTile().at(TileId{1}),
-              std::vector<MoleculeId>{MoleculeId{3}});
-    ASSERT_EQ(region.byTile().at(TileId{2}),
-              std::vector<MoleculeId>{MoleculeId{6}});
-
-    // Cache distinct lines until each molecule holds one of them.
-    std::map<u32, Addr> lineIn; // molecule id -> a line it holds
-    for (Addr addr = 0x40; lineIn.size() < 3 && addr < 0x2000;
-         addr += 0x40) {
-        cache.access(read(addr));
-        for (const u32 id : {0u, 3u, 6u})
-            if (cache.molecule(MoleculeId{id}).lookup(addr))
-                lineIn.emplace(id, addr);
+  protected:
+    static MolecularCacheParams
+    params()
+    {
+        MolecularCacheParams p;
+        p.moleculeSize = 8_KiB;
+        p.moleculesPerTile = 3;
+        p.tilesPerCluster = 3;
+        p.clusters = 1;
+        p.placement = PlacementPolicy::Random;
+        p.initialAllocation = InitialAllocation::Small;
+        p.initialMolecules = 3;
+        // Resize on every access, but Algorithm 1 never decides: only the
+        // re-acquisition of decommissioned capacity grants molecules.
+        p.resizeScheme = ResizeScheme::PerAppAdaptive;
+        p.resizePeriod = 1;
+        p.minResizePeriod = 1;
+        p.maxResizePeriod = 1u << 30;
+        p.minIntervalSample = 1ull << 40;
+        p.asidStageCycles = Cycles{1};
+        p.moleculeAccessCycles = Cycles{1};
+        p.ulmoHopCycles = Cycles{5};
+        return p;
     }
-    ASSERT_EQ(lineIn.size(), 3u);
 
-    const auto probesOf = [&cache](Addr addr, AccessResult &r) {
-        const auto total = [&cache] {
+    void
+    SetUp() override
+    {
+        cache.registerApplication(Asid{0}, 0.1, ClusterId{0}, 0, 1);
+        // Molecules 0-2 on tile 0.  Fence two of tile 1's free molecules,
+        // then two of the region's: the re-grant finds tile 0 empty, takes
+        // tile 1's last free molecule (3) and then tile 2's first (6).
+        for (const u32 id : {4u, 5u, 1u, 2u})
+            sim.decommissionMolecule(MoleculeId{id});
+        cache.access(read(0x0));
+        const Region &region = cache.region(Asid{0});
+        ASSERT_EQ(region.byTile().size(), 3u);
+        ASSERT_EQ(region.byTile().at(TileId{0}),
+                  std::vector<MoleculeId>{MoleculeId{0}});
+        ASSERT_EQ(region.byTile().at(TileId{1}),
+                  std::vector<MoleculeId>{MoleculeId{3}});
+        ASSERT_EQ(region.byTile().at(TileId{2}),
+                  std::vector<MoleculeId>{MoleculeId{6}});
+
+        // Cache distinct lines until each molecule holds one of them.
+        for (Addr addr = 0x40; lineIn.size() < 3 && addr < 0x2000;
+             addr += 0x40) {
+            cache.access(read(addr));
+            for (const u32 id : {0u, 3u, 6u})
+                if (cache.molecule(MoleculeId{id}).lookup(addr))
+                    lineIn.emplace(id, addr);
+        }
+        ASSERT_EQ(lineIn.size(), 3u);
+    }
+
+    // Accesses `addr` into `r`; returns the molecules it probed.
+    long long
+    probesOf(Addr addr, AccessResult &r)
+    {
+        const auto total = [this] {
             return std::llround(cache.averageProbesPerAccess() *
                                 static_cast<double>(
                                     cache.stats().global().accesses));
@@ -229,7 +243,15 @@ TEST(MolecularCache, HomeTileFirstThenRemoteTilesAscending)
         const auto before = total();
         r = cache.access(read(addr));
         return total() - before;
-    };
+    }
+
+    MolecularCache cache{params()};
+    SimAccess sim{cache};
+    std::map<u32, Addr> lineIn; // molecule id -> a line it holds
+};
+
+TEST_F(Placement, HomeTileFirst)
+{
     AccessResult r;
     // Home tile: the ASID stage and one molecule access, level 0.
     EXPECT_EQ(probesOf(lineIn.at(0), r), 1);
@@ -246,19 +268,33 @@ TEST(MolecularCache, HomeTileFirstThenRemoteTilesAscending)
     EXPECT_TRUE(r.hit);
     EXPECT_EQ(r.level, 1u);
     EXPECT_EQ(r.latencyCycles, Cycles{16});
+}
 
+TEST_F(Placement, TileWithoutRegionMoleculesYieldsEmptyHome)
+{
     // No molecule left on the home tile: the entry visit probes nothing
-    // and every hit is remote.  The re-grant after it takes molecule 7.
+    // and every hit is remote.
     sim.decommissionMolecule(MoleculeId{0});
+    AccessResult r;
     EXPECT_EQ(probesOf(lineIn.at(3), r), 1);
     EXPECT_TRUE(r.hit);
     EXPECT_EQ(r.level, 1u);
     EXPECT_EQ(r.latencyCycles, Cycles{9});
+    // The re-grant after that access put molecule 7 on tile 2, so the
+    // hit there follows tile 1's probe and two on tile 2.
+    ASSERT_EQ(cache.region(Asid{0}).byTile().at(TileId{2}).size(), 2u);
+    EXPECT_EQ(probesOf(lineIn.at(6), r), 3);
+    EXPECT_TRUE(r.hit);
+    EXPECT_EQ(r.level, 1u);
+}
 
+TEST_F(Placement, EmptyRegionYieldsEmptyPlan)
+{
     // No molecule left at all: nothing is probed and the access misses.
-    for (const u32 id : {3u, 6u, 7u, 8u})
+    for (const u32 id : {0u, 3u, 6u, 7u, 8u})
         sim.decommissionMolecule(MoleculeId{id});
-    ASSERT_TRUE(region.empty());
+    ASSERT_TRUE(cache.region(Asid{0}).empty());
+    AccessResult r;
     EXPECT_EQ(probesOf(lineIn.at(6), r), 0);
     EXPECT_FALSE(r.hit);
     EXPECT_EQ(r.level, 2u);

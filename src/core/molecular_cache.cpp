@@ -21,15 +21,7 @@ const std::vector<MoleculeId> kNoMolecules;
 } // namespace
 
 MolecularCache::MolecularCache(const MolecularCacheParams &params)
-    : params_(params),
-      // Sized for every line slot resident at once; the max() only
-      // keeps an invalid zero line size away from the divide so
-      // validate() below can report it.
-      directory_(params.clusters,
-                 params.totalSizeBytes().value() /
-                     std::max(params.lineSize, 1u),
-                 this),
-      resizer_(params)
+    : params_(params), directory_(params.clusters), resizer_(params)
 {
     params_.validate();
 
@@ -194,9 +186,7 @@ MolecularCache::unregisterApplication(Asid asid)
         mols.insert(mols.end(), ids.begin(), ids.end());
     for (const MoleculeId id : mols) {
         Molecule &m = molecule(id);
-        m.forEachResidentLine([&](Addr la) {
-            directory_.noteEviction(LineAddr{la}, region.homeCluster());
-        });
+        directory_.noteEviction(m.validLines());
         const u32 dirty = tiles_[m.tile().value()].release(id);
         for (u32 i = 0; i < dirty; ++i)
             stats_.recordWriteback(asid);
@@ -348,31 +338,38 @@ void
 MolecularCache::scrubRegionLine(const Region &region, Molecule &mol,
                                 Addr addr)
 {
-    const ClusterId cluster = tiles_[mol.tile().value()].cluster();
+    // The poisoned slot may hold any tag: the parity read names the
+    // line, and its group goes with it.
     const auto dropped = mol.scrubIfPoisoned(addr);
     MOLCACHE_ENSURE(dropped.has_value(), "poisoned slot vanished");
     ++faultStats_.transientFlipsDetected;
     if (dropped->dirty)
         ++faultStats_.dirtyLinesLost;
-    directory_.noteEviction(LineAddr{dropped->addr}, cluster);
+    directory_.noteEviction();
+    dropRegionLine(region, mol, dropped->addr);
+}
 
-    // The group's other lines sit in the neighbouring slots of the same
-    // molecule (fills are unit-aligned).  One that is itself poisoned is
-    // caught by the same parity read; the others are written back.
+void
+MolecularCache::dropRegionLine(const Region &region, Molecule &mol,
+                               Addr addr)
+{
+    // The group's lines sit in neighbouring slots of one molecule
+    // (fills are unit-aligned).
     const u64 unit = static_cast<u64>(region.lineMultiple()) *
                      params_.lineSize;
-    const Addr base = alignDown(dropped->addr, unit);
+    const Addr base = alignDown(addr, unit);
     for (Addr la = base; la < base + unit; la += params_.lineSize) {
-        if (la == dropped->addr || !mol.lookup(la))
+        const auto line = mol.invalidate(la);
+        if (!line)
             continue;
-        if (const auto sibling = mol.scrubIfPoisoned(la)) {
+        if (line->poisoned) {
             ++faultStats_.transientFlipsDetected;
-            if (sibling->dirty)
+            if (line->dirty)
                 ++faultStats_.dirtyLinesLost;
-        } else if (mol.invalidate(la)) {
+        } else if (line->dirty) {
             stats_.recordWriteback(region.asid());
         }
-        directory_.noteEviction(LineAddr{la}, cluster);
+        directory_.noteEviction();
     }
 }
 
@@ -517,8 +514,7 @@ MolecularCache::access(const MemAccess &a)
             hit_mol->markDirty(a.addr);
             const LineAddr line = lineAddrOf(a.addr, params_.lineSize);
             applyInvalidations(
-                directory_.noteWrite(line, region.homeCluster()), line,
-                a.asid);
+                directory_.noteWrite(line, region.homeCluster()), line);
         }
     } else {
         level = 2;
@@ -591,12 +587,11 @@ MolecularCache::handleMiss(Region &region, const MemAccess &a)
             } else if (ev->dirty) {
                 stats_.recordWriteback(a.asid);
             }
-            directory_.noteEviction(LineAddr{ev->addr},
-                                    region.homeCluster());
+            directory_.noteEviction();
         }
         applyInvalidations(
             directory_.noteFill(LineAddr{la}, region.homeCluster(), dirty),
-            LineAddr{la}, a.asid);
+            LineAddr{la});
     }
 
     if (replaced) {
@@ -630,18 +625,20 @@ MolecularCache::chooseLruDirectMolecule(const Region &region, Addr addr)
 }
 
 void
-MolecularCache::applyInvalidations(u32 clusters, LineAddr lineAddr,
-                                   Asid except)
+MolecularCache::applyInvalidations(u32 clusters, LineAddr lineAddr)
 {
     for (; clusters != 0; clusters &= clusters - 1) {
         const ClusterId c{static_cast<u32>(std::countr_zero(clusters))};
         for (auto &[asid, region] : regions_) {
-            if (region.homeCluster() != c || asid == except)
+            if (region.homeCluster() != c)
                 continue;
             for (const auto &[tile, mols] : region.byTile()) {
                 for (const MoleculeId id : mols) {
-                    if (molecule(id).invalidate(lineAddr.value()))
-                        stats_.recordWriteback(asid);
+                    Molecule &m = molecule(id);
+                    if (!m.lookup(lineAddr.value()))
+                        continue;
+                    directory_.noteInvalidation();
+                    dropRegionLine(region, m, lineAddr.value());
                 }
             }
         }
@@ -784,9 +781,7 @@ MolecularCache::withdraw(Region &region, u32 count)
         if (id == kInvalidMolecule)
             break;
         Molecule &m = molecule(id);
-        m.forEachResidentLine([&](Addr la) {
-            directory_.noteEviction(LineAddr{la}, region.homeCluster());
-        });
+        directory_.noteEviction(m.validLines());
         const u32 dirty = tiles_[m.tile().value()].release(id);
         for (u32 i = 0; i < dirty; ++i)
             stats_.recordWriteback(region.asid());
@@ -794,20 +789,6 @@ MolecularCache::withdraw(Region &region, u32 count)
         ++got;
     }
     return got;
-}
-
-void
-MolecularCache::forEachResidentLine(const Visit &visit) const
-{
-    for (const Tile &tile : tiles_) {
-        const MoleculeId first = tile.firstMolecule();
-        for (MoleculeId id = first; id < first + tile.numMolecules(); ++id) {
-            const Molecule &m = tile.molecule(id);
-            m.forEachResidentLine([&](Addr la) {
-                visit(LineAddr{la}, tile.cluster(), m.isDirty(la));
-            });
-        }
-    }
 }
 
 std::string
@@ -950,9 +931,7 @@ MolecularCache::decommissionMolecule(MoleculeId id)
             // Drain: the directory forgets the lines, the replacement
             // view forgets the molecule, and the region notes the
             // capacity hole so the resizer re-acquires around it.
-            m.forEachResidentLine([&](Addr la) {
-                directory_.noteEviction(LineAddr{la}, region.homeCluster());
-            });
+            directory_.noteEviction(m.validLines());
             region.removeMolecule(id);
             region.noteMoleculeLost();
             break;

@@ -44,17 +44,10 @@
 
 namespace molcache {
 
-class MolecularCache final : public CacheModel,
-                             private MoleculeBroker,
-                             private ResidentLines
+class MolecularCache final : public CacheModel, private MoleculeBroker
 {
   public:
     explicit MolecularCache(const MolecularCacheParams &params);
-
-    /* The coherence directory keeps a pointer back to the cache (its
-     * ResidentLines), so the cache stays where it was built. */
-    MolecularCache(const MolecularCache &) = delete;
-    MolecularCache &operator=(const MolecularCache &) = delete;
 
     /**
      * Create a partition for @p asid with the default placement (cluster
@@ -238,9 +231,6 @@ class MolecularCache final : public CacheModel,
     u32 grant(Region &region, u32 count) override;
     u32 withdraw(Region &region, u32 count) override;
 
-    // ResidentLines --------------------------------------------------------
-    void forEachResidentLine(const Visit &visit) const override;
-
     Region &regionFor(Asid asid);
     Tile &tileAt(TileId index) { return tiles_[index.value()]; }
 
@@ -268,11 +258,18 @@ class MolecularCache final : public CacheModel,
                         const std::vector<MoleculeId> &mols, Addr addr);
 
     /** Drop the poisoned slot @p addr maps to in @p mol and the rest of
-     * its region line (paper section 3.2: the line-multiple group is
-     * the unit of allocation, so the refill brings it back whole into
-     * one molecule).  The sibling lines' data is intact: dirty ones are
-     * written back. */
-    void scrubRegionLine(const Region &region, Molecule &mol, Addr addr);
+     * its region line (dropRegionLine).  Kept out of probeTile: inlined
+     * there, it spread the probe loop and cost table2_mixed12 about
+     * 12 % of its refs/s. */
+    [[gnu::noinline]] void scrubRegionLine(const Region &region,
+                                           Molecule &mol, Addr addr);
+
+    /** Drop every resident line of @p addr's region line from @p mol,
+     * with an eviction notice each (paper section 3.2: the line-multiple
+     * group is the unit of allocation, so a refill brings it back whole
+     * into one molecule).  Dirty lines are written back; a poisoned one
+     * fails its parity check and its data is lost. */
+    void dropRegionLine(const Region &region, Molecule &mol, Addr addr);
 
     /** One way-memoization prediction: the last molecule that produced
      * a home-tile hit for a line address hashing to this slot.  The
@@ -321,9 +318,9 @@ class MolecularCache final : public CacheModel,
      * the address's molecule index (invalid slots win outright). */
     MoleculeId chooseLruDirectMolecule(const Region &region, Addr addr);
 
-    /** Apply directory-mandated invalidations for @p lineAddr in each
-     * victim cluster (bit c of @p clusters = cluster c, lowest first). */
-    void applyInvalidations(u32 clusters, LineAddr lineAddr, Asid except);
+    /** Snoop each cluster of @p clusters (bit c = cluster c, lowest
+     * first) for @p lineAddr, dropping the region line of every copy. */
+    void applyInvalidations(u32 clusters, LineAddr lineAddr);
 
     /** Run resize scheduling after an access by @p region. */
     void maybeResize(Region &region);

@@ -146,18 +146,20 @@ Molecule::slotTouchTick(Addr addr) const
     return touched_[s];
 }
 
-bool
+std::optional<Eviction>
 Molecule::invalidate(Addr addr)
 {
     const u32 i = indexOf(addr);
     const size_t s = slot(i);
     const u8 f = flags_[s];
     if ((f & kLineValid) == 0 || tags_[s] != tagOf(addr))
-        return false;
-    const bool was_dirty = (f & (kLineDirty | kLinePoisoned)) == kLineDirty;
+        return std::nullopt;
+    const Eviction dropped{alignDown(addr, lineSize_),
+                           (f & kLineDirty) != 0,
+                           (f & kLinePoisoned) != 0};
     clearLine(i);
     --valid_;
-    return was_dirty;
+    return dropped;
 }
 
 bool

@@ -154,9 +154,10 @@ class Molecule
      */
     std::optional<Tick> slotTouchTick(Addr addr) const;
 
-    /** Drop the line holding @p addr if resident; true if it was dirty.
-     * A poisoned line reports false: corrupt data is never written back. */
-    bool invalidate(Addr addr);
+    /** Drop the line holding @p addr if resident.  @return the dropped
+     * line, or nullopt when it was not resident; a poisoned line's dirty
+     * data is lost, never written back. */
+    std::optional<Eviction> invalidate(Addr addr);
 
     /** @{ Fault model (docs/fault_model.md).
      *

@@ -189,83 +189,45 @@ InvariantChecker::checkDirectory(const MolecularCache &cache)
         rep.violations.push_back(std::move(msg));
     };
 
-    // Every resident copy, by line: the clusters holding it and whether
-    // any copy is dirty.
-    struct Copies
-    {
-        u32 clusters = 0;
-        bool dirty = false;
-    };
-    std::unordered_map<u64, Copies> lines;
+    // Every resident copy, by line: the clusters holding it.
+    std::unordered_map<u64, u32> lines;
     u64 copies = 0;
     for (u32 t = 0; t < p.totalTiles(); ++t) {
         const Tile &tile = cache.tile(TileId{t});
         const u32 bit = 1u << tile.cluster().value();
         const MoleculeId first = tile.firstMolecule();
         for (MoleculeId id = first; id < first + tile.numMolecules(); ++id) {
-            const Molecule &m = cache.molecule(id);
-            m.forEachResidentLine([&](Addr la) {
-                Copies &c = lines[la];
+            cache.molecule(id).forEachResidentLine([&](Addr la) {
+                u32 &clusters = lines[la];
                 ++rep.checksRun;
-                if (c.clusters & bit)
+                if (clusters & bit)
                     fail("line " + std::to_string(la) + " sits in two "
                          "molecules of cluster " +
                          std::to_string(tile.cluster().value()));
-                c.clusters |= bit;
-                c.dirty |= m.isDirty(la);
+                clusters |= bit;
                 ++copies;
             });
         }
     }
 
-    if (dir.coarse()) {
-        // Before the switch: each resident line's chunk carries exactly
-        // its cluster's bit, and the live count is the resident count.
-        ++rep.checksRun;
-        if (dir.entries() != copies)
-            fail("coarse directory counts " + std::to_string(dir.entries()) +
-                 " lines but " + std::to_string(copies) + " are resident");
-        for (const auto &[la, c] : lines) {
-            ++rep.checksRun;
-            const u32 chunk = dir.chunkHolders(LineAddr{la});
-            if (chunk != c.clusters)
-                fail("line " + std::to_string(la) + " is resident in "
-                     "clusters " + std::to_string(c.clusters) +
-                     " but its chunk holds " + std::to_string(chunk));
-        }
-        return rep;
-    }
-
+    // Each resident line's chunk names its clusters (the masks are
+    // grow-only, so it may name more), and until some chunk is shared
+    // each mask names exactly one.
     ++rep.checksRun;
-    if (dir.entries() != lines.size())
-        fail("directory tracks " + std::to_string(dir.entries()) +
-             " lines but " + std::to_string(lines.size()) +
+    if (dir.entries() != copies)
+        fail("directory counts " + std::to_string(dir.entries()) +
+             " line copies but " + std::to_string(copies) +
              " are resident");
-    for (const auto &[la, c] : lines) {
-        const LineAddr line{la};
-        const std::string what = "line " + std::to_string(la);
+    for (const auto &[la, clusters] : lines) {
         ++rep.checksRun;
-        const u32 holders = static_cast<u32>(std::popcount(c.clusters));
-        if (dir.holderCount(line) != holders)
-            fail(what + " has " + std::to_string(dir.holderCount(line)) +
-                 " directory holders but is resident in " +
-                 std::to_string(holders) + " clusters");
-        for (u32 bits = c.clusters; bits != 0; bits &= bits - 1) {
-            const ClusterId cl{static_cast<u32>(std::countr_zero(bits))};
-            ++rep.checksRun;
-            if (!dir.isHeld(line, cl))
-                fail(what + " is resident in cluster " +
-                     std::to_string(cl.value()) +
-                     " but the directory does not hold it there");
-        }
-        // A downgrade leaves the old owner's copy dirty with the line
-        // no longer modified, so the bits agree only until the first.
-        ++rep.checksRun;
-        if (holders == 1 && dir.stats().downgrades == 0 &&
-            dir.isModified(line) != c.dirty)
-            fail(what + (c.dirty ? " is dirty but not modified"
-                                 : " is clean but modified") +
-                 " in the directory");
+        const u32 chunk = dir.chunkHolders(LineAddr{la});
+        if ((chunk & clusters) != clusters)
+            fail("line " + std::to_string(la) + " is resident in "
+                 "clusters " + std::to_string(clusters) +
+                 " but its chunk holds " + std::to_string(chunk));
+        if (!dir.shared() && std::popcount(chunk) != 1)
+            fail("unshared directory, but line " + std::to_string(la) +
+                 "'s chunk holds " + std::to_string(chunk));
     }
     return rep;
 }

@@ -52,12 +52,10 @@ class InvariantChecker
 
     /**
      * Audit the coherence directory against the lines resident in
-     * @p cache's molecules.  A per-line directory holds exactly the
-     * resident (line, cluster) pairs, and a line held by one cluster is
-     * modified in it exactly when its molecule holds it dirty.  A
-     * coarse directory counts exactly the resident lines, and each
-     * resident line's chunk carries its cluster's bit and no other.  In
-     * both modes, no line sits in two molecules of one cluster.
+     * @p cache's molecules: no line sits in two molecules of one
+     * cluster, the directory counts exactly the resident copies, each
+     * resident line's chunk mask carries its cluster's bit, and until
+     * some chunk is shared each mask carries exactly one bit.
      *
      * Not part of check(): it walks every resident line, and check()
      * runs in every service epoch, whose shards are one-cluster caches

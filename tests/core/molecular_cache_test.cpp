@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "fault/invariant_checker.hpp"
+#include "util/random.hpp"
 #include "util/units.hpp"
 
 namespace molcache {
@@ -300,6 +301,17 @@ TEST_F(Placement, EmptyRegionYieldsEmptyPlan)
     EXPECT_EQ(r.level, 2u);
 }
 
+/** True if a molecule of @p asid's region holds @p addr. */
+bool
+holds(const MolecularCache &cache, Asid asid, Addr addr)
+{
+    for (const auto &[tile, mols] : cache.region(asid).byTile())
+        for (const MoleculeId id : mols)
+            if (cache.molecule(id).lookup(addr))
+                return true;
+    return false;
+}
+
 TEST(MolecularCache, CrossClusterInvalidationOnSharedAddress)
 {
     MolecularCacheParams p = smallParams();
@@ -311,15 +323,19 @@ TEST(MolecularCache, CrossClusterInvalidationOnSharedAddress)
     // Both threads of a logically-shared address space touch one line.
     cache.access(read(0x3000, 0));
     cache.access(read(0x3000, 1));
-    EXPECT_EQ(cache.directory().holderCount(LineAddr{0x3000}), 2u);
+    EXPECT_TRUE(holds(cache, Asid{0}, 0x3000));
+    EXPECT_TRUE(holds(cache, Asid{1}, 0x3000));
     // A write from cluster 0 invalidates cluster 1's copy.
-    cache.access(write(0x3000, 0));
-    EXPECT_EQ(cache.directory().holderCount(LineAddr{0x3000}), 1u);
+    EXPECT_TRUE(cache.access(write(0x3000, 0)).hit);
+    EXPECT_TRUE(holds(cache, Asid{0}, 0x3000));
+    EXPECT_FALSE(holds(cache, Asid{1}, 0x3000));
     EXPECT_FALSE(cache.access(read(0x3000, 1)).hit);
-    EXPECT_GT(cache.directory().stats().invalidationsSent, 0u);
+    EXPECT_EQ(cache.directory().stats().invalidationsSent, 1u);
+    // Cluster 1 read a clean copy: dropping it wrote nothing back.
+    EXPECT_EQ(cache.stats().forAsid(Asid{1}).writebacks, 0u);
 }
 
-TEST(MolecularCache, FirstSharedFillMaterialisesTheDirectory)
+TEST(MolecularCache, FirstSharedFillTurnsOnTheSnoop)
 {
     MolecularCacheParams p = smallParams();
     p.resizePeriod = 1u << 30;
@@ -332,35 +348,36 @@ TEST(MolecularCache, FirstSharedFillMaterialisesTheDirectory)
         EXPECT_TRUE(rep.ok()) << rep.violations.front();
     };
 
-    // Disjoint windows, a third of the lines dirty: the directory only
-    // tracks chunk holders.
+    // Disjoint windows, a third of the lines dirty: no chunk has two
+    // holders, so a write snoops nobody.
     const Addr window1 = 1ull << 40;
     for (Addr a = 0; a < 96; ++a) {
         cache.access(a % 3 == 0 ? write(a * 64, 0) : read(a * 64, 0));
         cache.access(a % 3 == 0 ? write(window1 + a * 64, 1)
                                 : read(window1 + a * 64, 1));
     }
-    ASSERT_TRUE(cache.directory().coarse());
+    ASSERT_FALSE(cache.directory().shared());
     expectDirectoryClean();
     const u64 fills = cache.directory().stats().fills;
 
-    // Cluster 1 reads a clean line cluster 0 holds: the first shared
-    // chunk builds the per-line table from the resident lines.
+    // Cluster 1 reads a clean line cluster 0 holds: its chunk now names
+    // both clusters, and both keep their copies.
     const Addr shared = 64; // a % 3 != 0: clean in cluster 0
     cache.access(read(shared, 1));
-    EXPECT_FALSE(cache.directory().coarse());
+    EXPECT_TRUE(cache.directory().shared());
     EXPECT_EQ(cache.directory().stats().fills, fills + 1);
-    EXPECT_EQ(cache.directory().stats().downgrades, 0u);
     expectDirectoryClean();
-    EXPECT_EQ(cache.directory().holderCount(LineAddr{shared}), 2u);
-    EXPECT_TRUE(cache.directory().isModified(LineAddr{0}));
-    EXPECT_FALSE(cache.directory().isModified(LineAddr{shared}));
+    EXPECT_TRUE(holds(cache, Asid{0}, shared));
+    EXPECT_TRUE(holds(cache, Asid{1}, shared));
 
-    // A write hit in cluster 1 invalidates cluster 0's copy.
+    // A write hit in cluster 1 snoops cluster 0, which drops only that
+    // line: its dirty line 0 in the same chunk stays, unwritten.
     EXPECT_TRUE(cache.access(write(shared, 1)).hit);
     EXPECT_EQ(cache.directory().stats().invalidationsSent, 1u);
-    EXPECT_EQ(cache.directory().holderCount(LineAddr{shared}), 1u);
-    EXPECT_TRUE(cache.directory().isHeld(LineAddr{shared}, ClusterId{1}));
+    EXPECT_FALSE(holds(cache, Asid{0}, shared));
+    EXPECT_TRUE(holds(cache, Asid{1}, shared));
+    EXPECT_TRUE(holds(cache, Asid{0}, 0));
+    EXPECT_EQ(cache.stats().forAsid(Asid{0}).writebacks, 0u);
     expectDirectoryClean();
     EXPECT_FALSE(cache.access(read(shared, 0)).hit);
     expectDirectoryClean();
@@ -378,6 +395,96 @@ TEST(MolecularCache, NoInvalidationsWithoutSharing)
         cache.access(write((a * 64) | (1ull << 40), 1));
     }
     EXPECT_EQ(cache.directory().stats().invalidationsSent, 0u);
+}
+
+/** FNV-1a of the eight bytes of @p v, folded into @p h. */
+u64
+fnv1a(u64 h, u64 v)
+{
+    for (u32 i = 0; i < 8; ++i) {
+        h ^= (v >> (8 * i)) & 0xff;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+/** Three applications, one per cluster, read and write the same 400
+ * lines, spread over four 64 KiB chunks, 30 % of them writes; then
+ * they mostly read a hot 40.  The resize period is short enough that
+ * the first phase grants molecules and the second withdraws them.  @return a digest of every
+ * access result (hit, level, latency) and the final per-ASID
+ * writebacks: what cross-cluster invalidation does to the cache. */
+u64
+sharedAddressDigest(PlacementPolicy placement)
+{
+    MolecularCacheParams p = smallParams();
+    p.clusters = 3;
+    p.placement = placement;
+    p.resizePeriod = 500;
+    p.minIntervalSample = 50;
+    MolecularCache cache(p);
+    for (u16 a = 0; a < 3; ++a)
+        cache.registerApplication(Asid{a}, 0.2, ClusterId{a}, 0, 1);
+    Pcg32 rng(7);
+    u64 h = 0xcbf29ce484222325ull;
+    for (u32 i = 0; i < 40000; ++i) {
+        const u16 asid = static_cast<u16>(rng.below(3));
+        const bool wide = i < 20000;
+        const Addr addr = static_cast<Addr>(rng.below(wide ? 400 : 40)) * 640;
+        const AccessResult r = cache.access(rng.below(100) < (wide ? 30 : 2)
+                                                ? write(addr, asid)
+                                                : read(addr, asid));
+        h = fnv1a(h, r.hit);
+        h = fnv1a(h, r.level);
+        h = fnv1a(h, r.latencyCycles.value());
+    }
+    for (u16 a = 0; a < 3; ++a)
+        h = fnv1a(h, cache.stats().forAsid(Asid{a}).writebacks);
+    EXPECT_GT(cache.directory().stats().invalidationsSent, 0u);
+    EXPECT_GT(cache.resizer().granted(), 0u);
+    EXPECT_GT(cache.resizer().withdrawn(), 0u);
+    const auto rep = InvariantChecker::checkDirectory(cache);
+    EXPECT_TRUE(rep.ok()) << rep.violations.front();
+    return h;
+}
+
+TEST(MolecularCache, SharedAddressDigestIsPinned)
+{
+    // Captured with the exact per-line directory, before the chunk
+    // masks became the only one: snooping every cluster a chunk names
+    // invalidates the same copies.
+    EXPECT_EQ(sharedAddressDigest(PlacementPolicy::Random),
+              0x22d28169ca31f3b4ull);
+    EXPECT_EQ(sharedAddressDigest(PlacementPolicy::Randy),
+              0x7d54101c1e3d83c9ull);
+    EXPECT_EQ(sharedAddressDigest(PlacementPolicy::LruDirect),
+              0x38e28ad108dcdc8eull);
+}
+
+TEST(MolecularCache, RemoteWriteDropsTheWholeRegionLine)
+{
+    // A write from cluster 1 invalidates cluster 0's copy of 0x1000,
+    // and with it the rest of its two-line region line: cluster 0's
+    // refill then brings the group back whole into one molecule,
+    // whichever one Random placement picks.
+    for (u64 seed = 0; seed < 200; ++seed) {
+        MolecularCacheParams p = smallParams();
+        p.tilesPerCluster = 1;
+        p.initialMolecules = 4;
+        p.placement = PlacementPolicy::Random;
+        p.seed = seed;
+        p.resizePeriod = 1u << 30;
+        p.maxResizePeriod = 1u << 30;
+        MolecularCache cache(p);
+        cache.registerApplication(Asid{0}, 0.1, ClusterId{0}, 0, 2);
+        cache.registerApplication(Asid{1}, 0.1, ClusterId{1}, 0, 2);
+        cache.access(read(0x1000, 0));
+        cache.access(write(0x1000, 1));
+        cache.access(read(0x1000, 0));
+        const auto rep = InvariantChecker::checkDirectory(cache);
+        EXPECT_TRUE(rep.ok()) << "seed " << seed << ": "
+                              << rep.violations.front();
+    }
 }
 
 TEST(MolecularCache, EnergyAccountingMonotone)

@@ -99,11 +99,17 @@ TEST(Molecule, InvalidateReportsDirty)
     m.assignTo(Asid{1});
     m.fill(0x100, true);
     EXPECT_FALSE(m.invalidate(0x9999999)); // not resident
-    EXPECT_TRUE(m.invalidate(0x100));      // resident + dirty
+    const auto dirty = m.invalidate(0x100); // resident + dirty
+    ASSERT_TRUE(dirty);
+    EXPECT_EQ(dirty->addr, 0x100u);
+    EXPECT_TRUE(dirty->dirty);
+    EXPECT_FALSE(dirty->poisoned);
     EXPECT_FALSE(m.lookup(0x100));
     EXPECT_EQ(m.validLines(), 0u);
     m.fill(0x100, false);
-    EXPECT_FALSE(m.invalidate(0x100)); // resident but clean
+    const auto clean = m.invalidate(0x100); // resident but clean
+    ASSERT_TRUE(clean);
+    EXPECT_FALSE(clean->dirty);
 }
 
 TEST(Molecule, AssignInvalidatesContents)

@@ -250,7 +250,8 @@ TEST(TransientFlip, PoisonBeforeHitIsScrubbedInScheduleOrder)
     const auto [before, lost] = holders[0];
     const auto [hitMol, hitLine] = holders[1];
     const auto [after, kept] = holders[2];
-    ASSERT_NE(cache.directory().holderCount(lineAddrOf(lost, 64)), 0u);
+    ASSERT_TRUE(cache.molecule(before).lookup(lost));
+    const size_t copies = cache.directory().entries();
 
     SimAccess{cache}.injectTransientFlip(before, index);
     AccessResult r = cache.access({hitLine, Asid{0}, AccessType::Read});
@@ -258,7 +259,8 @@ TEST(TransientFlip, PoisonBeforeHitIsScrubbedInScheduleOrder)
     EXPECT_EQ(r.level, 0u);
     EXPECT_EQ(cache.faultStats().transientFlipsDetected, 1u);
     EXPECT_FALSE(cache.molecule(before).lookup(lost));
-    EXPECT_EQ(cache.directory().holderCount(lineAddrOf(lost, 64)), 0u);
+    // The scrub sent the directory an eviction notice for it.
+    EXPECT_EQ(cache.directory().entries(), copies - 1);
     EXPECT_TRUE(cache.molecule(hitMol).lookup(hitLine));
 
     SimAccess{cache}.injectTransientFlip(after, index);

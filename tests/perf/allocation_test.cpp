@@ -5,9 +5,9 @@
  * perform no heap allocations, on hits and on misses alike — probes
  * read the regions' placement in place and dense indices make the hit
  * path allocation-free, the coherence directory (a chunk table that grows
- * only with new address chunks, then a per-line table sized from the
- * cache geometry; invalidations as a bitmask) does the same for the
- * miss path, and this test is the gate that keeps it that way.
+ * only with new address chunks; invalidations as a bitmask) does the
+ * same for the miss path, and this test is the gate that keeps it that
+ * way.
  *
  * The whole binary's global operator new/delete are replaced with
  * counting versions; each test samples the counter around a window of
@@ -210,8 +210,8 @@ TEST(HotpathAllocations, ZeroPerMissSteadyState)
 }
 
 /** Two apps on two clusters stream misses; @p shared gives both the
- * same addresses, so the directory runs per line, while disjoint
- * windows keep it coarse.  Either way a miss allocates nothing. */
+ * same addresses, so writes snoop the other cluster, while disjoint
+ * windows share no chunk.  Either way a miss allocates nothing. */
 void
 expectZeroAllocTwoClusterMisses(bool shared)
 {
@@ -233,7 +233,7 @@ expectZeroAllocTwoClusterMisses(bool shared)
     for (int pass = 0; pass < 3; ++pass)
         for (const MemAccess &m : trace)
             cache.access(m);
-    ASSERT_EQ(cache.directory().coarse(), !shared);
+    ASSERT_EQ(cache.directory().shared(), shared);
 
     u64 misses = 0;
     const unsigned long long before = g_heapAllocs.load();
@@ -246,7 +246,7 @@ expectZeroAllocTwoClusterMisses(bool shared)
         << "measurement window must be all misses (steady-state fills)";
     EXPECT_EQ(after - before, 0u)
         << "steady-state misses must not allocate";
-    EXPECT_EQ(cache.directory().coarse(), !shared);
+    EXPECT_EQ(cache.directory().shared(), shared);
 }
 
 TEST(HotpathAllocations, ZeroPerMissCoarseDirectory)

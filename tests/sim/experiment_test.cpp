@@ -66,6 +66,21 @@ TEST(Experiment, RegisterApplicationsGroupsContiguously)
     }
 }
 
+TEST(Experiment, Table2MixSharesNoChunk)
+{
+    // The coherence directory's miss path is one chunk-mask update
+    // because the paper's applications never touch each other's
+    // addresses: no chunk gains a second holder cluster and no write
+    // invalidates anything.  A workload that starts sharing fails here.
+    MolecularCache cache(table2MolecularParams(PlacementPolicy::Randy));
+    registerApplications(cache, 12, 0.25);
+    runWorkload(mixed12Names(), cache,
+                RunOptions{}.withReferences(200'000));
+    EXPECT_EQ(cache.stats().global().accesses, 200'000u);
+    EXPECT_FALSE(cache.directory().shared());
+    EXPECT_EQ(cache.directory().stats().invalidationsSent, 0u);
+}
+
 TEST(Experiment, RunWorkloadEndToEnd)
 {
     SetAssocCache cache(traditionalParams(1_MiB, 4));

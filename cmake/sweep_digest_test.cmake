@@ -6,8 +6,10 @@
 #   EXPECTED - the committed SHA-256 of that report
 #   STDOUT   - (optional) set for benches without --json: the report is
 #              the bench's stdout, which prints results only, no timings
+#   ARGS     - (optional, STDOUT only) the bench's arguments as one
+#              space-separated string, in place of --refs 20000
 #
-# The bench runs at --refs 20000.  A JSON sweep runs twice, serially
+# The bench runs at --refs 20000 unless ARGS says otherwise.  A JSON sweep runs twice, serially
 # (--threads 1) and on two threads: its report is byte-identical for any
 # thread count and build type, so both runs must match the one committed
 # digest.  Any other digest means the bench now computes different
@@ -23,8 +25,13 @@ function(check_digest what)
 endfunction()
 
 if(STDOUT)
+    if(DEFINED ARGS)
+        separate_arguments(args UNIX_COMMAND "${ARGS}")
+    else()
+        set(args --refs 20000)
+    endif()
     execute_process(
-        COMMAND ${BENCH} --refs 20000
+        COMMAND ${BENCH} ${args}
         OUTPUT_FILE ${OUT}
         RESULT_VARIABLE result)
     if(NOT result EQUAL 0)

@@ -2,8 +2,8 @@
  * @file
  * parallelFor: run one batch of independent jobs across threads.
  *
- * Every caller runs exactly one batch (a sweep, or a drill's driver
- * plus its workers), so there is no pool to keep alive between batches:
+ * Every caller runs exactly one batch (a sweep, or a drill's
+ * workers), so there is no pool to keep alive between batches:
  * parallelFor starts its threads, lets each claim the next job index
  * from one shared atomic counter, and joins them before returning.
  * Claiming one index at a time balances wildly uneven jobs — an 8 MiB

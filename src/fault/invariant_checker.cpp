@@ -189,22 +189,25 @@ InvariantChecker::checkDirectory(const MolecularCache &cache)
         rep.violations.push_back(std::move(msg));
     };
 
-    // Every resident copy, by line: the clusters holding it.
+    // Every resident copy, by line: the clusters holding it.  Copies
+    // are counted per region (ASID) too: two regions of one cluster may
+    // each hold a private copy, but one region holds a line once.
     std::unordered_map<u64, u32> lines;
+    std::map<std::pair<u64, u16>, u32> regionCopies;
     u64 copies = 0;
     for (u32 t = 0; t < p.totalTiles(); ++t) {
         const Tile &tile = cache.tile(TileId{t});
         const u32 bit = 1u << tile.cluster().value();
         const MoleculeId first = tile.firstMolecule();
         for (MoleculeId id = first; id < first + tile.numMolecules(); ++id) {
+            const u16 asid = cache.molecule(id).configuredAsid().value();
             cache.molecule(id).forEachResidentLine([&](Addr la) {
-                u32 &clusters = lines[la];
                 ++rep.checksRun;
-                if (clusters & bit)
+                if (++regionCopies[{la, asid}] > 1)
                     fail("line " + std::to_string(la) + " sits in two "
-                         "molecules of cluster " +
-                         std::to_string(tile.cluster().value()));
-                clusters |= bit;
+                         "molecules of the region of ASID " +
+                         std::to_string(asid));
+                lines[la] |= bit;
                 ++copies;
             });
         }

@@ -53,7 +53,7 @@ class InvariantChecker
     /**
      * Audit the coherence directory against the lines resident in
      * @p cache's molecules: no line sits in two molecules of one
-     * cluster, the directory counts exactly the resident copies, each
+     * region (ASID), the directory counts exactly the resident copies, each
      * resident line's chunk mask carries its cluster's bit, and until
      * some chunk is shared each mask carries exactly one bit.
      *

@@ -76,53 +76,18 @@ Service::Service(const ServiceOptions &options)
       shardMolecules_(options_.cache.moleculesPerTile *
                       options_.cache.tilesPerCluster)
 {
-    {
-        MutexLock admin(adminMutex_);
-        asidPools_.resize(shards_.size());
-        liveByShard_.assign(shards_.size(), 0u);
-        shardHealth_.assign(shards_.size(), ShardHealth{});
-        for (ShardHealth &health : shardHealth_)
-            health.healthy = shardMolecules_;
-        healthyMoleculesTotal_ =
-            static_cast<u64>(shards_.size()) * shardMolecules_;
-        if (options_.chaos.any())
-            chaosSchedule_ = ChaosSchedule::build(
-                options_.chaos, static_cast<u32>(shards_.size()),
-                shardMolecules_, options_.cache.linesPerMolecule());
-    }
-    if (options_.epochMillis != 0) {
-        // The control loop is open-ended (runs until ~Service), which
-        // doesn't fit the pool's bounded forEach jobs.
-        // lint: allow(raw-thread): joined in ~Service after the stop handshake
-        controlThread_ = std::thread([this] { controlLoop(); });
-    }
-}
-
-Service::~Service()
-{
-    if (controlThread_.joinable()) {
-        {
-            MutexLock lock(controlMutex_);
-            stopRequested_ = true;
-        }
-        controlCv_.notifyAll();
-        controlThread_.join();
-    }
-}
-
-void
-Service::controlLoop()
-{
-    for (;;) {
-        {
-            MutexLock lock(controlMutex_);
-            if (!stopRequested_)
-                controlCv_.waitFor(controlMutex_, options_.epochMillis);
-            if (stopRequested_)
-                return;
-        }
-        runEpochNow();
-    }
+    MutexLock admin(adminMutex_);
+    asidPools_.resize(shards_.size());
+    liveByShard_.assign(shards_.size(), 0u);
+    shardHealth_.assign(shards_.size(), ShardHealth{});
+    for (ShardHealth &health : shardHealth_)
+        health.healthy = shardMolecules_;
+    healthyMoleculesTotal_ =
+        static_cast<u64>(shards_.size()) * shardMolecules_;
+    if (options_.chaos.any())
+        chaosSchedule_ = ChaosSchedule::build(
+            options_.chaos, static_cast<u32>(shards_.size()),
+            shardMolecules_, options_.cache.linesPerMolecule());
 }
 
 u32

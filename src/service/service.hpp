@@ -22,9 +22,11 @@
  *     ASIDs (generation-tagged, CacheStats::retire), merging per-shard
  *     statistics into one ServiceSummary snapshot, running the
  *     InvariantChecker audit — happens in runEpochNow(), serialized by
- *     the admin mutex: a single logical writer.  With epochMillis > 0 a
- *     control-plane thread paces epochs; with 0 the embedder (or a
- *     deterministic test) calls runEpochNow() itself.  Resizing itself
+ *     the admin mutex: a single logical writer.  The service owns no
+ *     thread and no timer: the embedder paces epochs by calling
+ *     runEpochNow(), the drills and perfbench every fixed number of
+ *     served references, the way the paper paces Algorithm 1 by
+ *     addresses serviced.  Resizing itself
  *     stays where the paper puts it — inside the access path, per
  *     region, under the shard lock — so a shard's behaviour is
  *     byte-identical to the single-threaded simulator fed the same
@@ -54,7 +56,7 @@
  * With chaos off and admission watermarks unset, none of this runs and
  * the service stays byte-identical to the pre-resilience behaviour.
  *
- * Lock order (docs/molcached.md): controlMutex_ -> adminMutex_ ->
+ * Lock order (docs/molcached.md): adminMutex_ ->
  * {shard mutexes (ascending), summaryMutex_}; the two innermost are
  * never held together.  access() takes only its shard mutex; summary()
  * takes only summaryMutex_.  A remap takes its two shard locks
@@ -69,7 +71,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/molecular_cache.hpp"
@@ -263,10 +264,9 @@ class Service
 {
   public:
     /** Validates @p options (fatal with file:line context on builder
-     * violations) and starts the control-plane thread when
-     * options.epochMillis > 0. */
+     * violations) and builds the shards; no epoch runs until the
+     * embedder calls runEpochNow(). */
     explicit Service(const ServiceOptions &options);
-    ~Service();
 
     Service(const Service &) = delete;
     Service &operator=(const Service &) = delete;
@@ -350,9 +350,7 @@ class Service
      * Run one control-plane epoch on the caller's thread: drain
      * departures, fire due chaos events, quarantine/remap/degrade,
      * audit every shard, rebuild the summary snapshot.  This is the
-     * only epoch entry point — the control
-     * thread calls it too — so embedders running with epochMillis == 0
-     * get the identical control plane, just paced by themselves.
+     * only epoch entry point; the embedder chooses the pacing.
      */
     void runEpochNow() MOLCACHE_EXCLUDES(adminMutex_);
 
@@ -457,7 +455,6 @@ class Service
     static std::vector<std::unique_ptr<Shard>> buildShards(
         const ServiceOptions &options);
 
-    void controlLoop() MOLCACHE_EXCLUDES(controlMutex_, adminMutex_);
     void runEpochLocked() MOLCACHE_REQUIRES(adminMutex_)
         MOLCACHE_EXCLUDES(summaryMutex_);
     /** Least-loaded non-quarantined shard, or shards_.size() when every
@@ -530,13 +527,6 @@ class Service
     ServiceSummary summary_ MOLCACHE_GUARDED_BY(summaryMutex_);
 
     std::atomic<u64> epochsRun_{0};
-
-    mc::Mutex controlMutex_;
-    mc::CondVar controlCv_;
-    bool stopRequested_ MOLCACHE_GUARDED_BY(controlMutex_) = false;
-    // lint: allow(raw-thread): joined in ~Service after the stop handshake
-    // lint: unguarded(written by ctor/dtor only, never concurrently)
-    std::thread controlThread_;
 };
 
 } // namespace mc

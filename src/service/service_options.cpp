@@ -23,9 +23,13 @@ ServiceOptions::withShards(u32 count, std::source_location loc)
 }
 
 ServiceOptions &
-ServiceOptions::withEpochMillis(u64 millis, std::source_location)
+ServiceOptions::withEpochMillis(u64 millis, std::source_location loc)
 {
-    epochMillis = millis;
+    if (millis != 0)
+        note(loc, detail::concat("service.epoch_millis must be 0 (the "
+                                 "service has no epoch timer; call "
+                                 "runEpochNow()), got ",
+                                 millis));
     return *this;
 }
 

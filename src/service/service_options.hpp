@@ -4,14 +4,15 @@
  *
  * Mirrors the RunOptions pattern (src/sim/run_options.hpp): a plain
  * copyable value with fluent with*() setters so construction sites read
- * like keyword arguments.  Two molcached-specific twists:
+ * like keyword arguments.  Every setter range-checks its argument
+ * eagerly and records a violation *with the caller's file:line*
+ * (std::source_location), so validate() can report
+ * "bench/service_churn.cpp:87: service.shards must be >= 1" instead of
+ * an anonymous failure deep inside the service constructor — the same
+ * file:line contract that config-file errors follow.
  *
- *  - every setter range-checks its argument eagerly and records a
- *    violation *with the caller's file:line* (std::source_location), so
- *    validate() can report "bench/service_churn.cpp:87: service.shards
- *    must be >= 1" instead of an anonymous failure deep inside the
- *    service constructor — the same file:line contract that
- *    config-file errors follow.
+ * There is no epoch period: the service has no timer, and the embedder
+ * paces epochs with Service::runEpochNow().
  *
  * Shard geometry: `cache` describes ONE shard, and a shard is exactly
  * one tile cluster — the cluster is Ulmo's search domain, regions never
@@ -47,15 +48,6 @@ struct ServiceOptions
     /** Independently-locked cache shards (tile clusters). */
     u32 shards = 2;
 
-    /**
-     * Control-plane epoch period in milliseconds: the service's own
-     * thread drains departed tenants, merges shard statistics and runs
-     * the invariant audit this often.  0 disables the thread — the
-     * embedder paces epochs by calling Service::runEpochNow(), which is
-     * also what deterministic tests do.
-     */
-    u64 epochMillis = 20;
-
     /** Admission cap on live tenants (0 = unlimited). */
     u32 maxTenants = 0;
 
@@ -86,6 +78,9 @@ struct ServiceOptions
     ServiceOptions &withShards(
         u32 count,
         std::source_location loc = std::source_location::current());
+    /** Stores nothing: the service has no epoch timer.  Kept so
+     * callers that pass 0 still build; any other value is recorded as
+     * an error. */
     ServiceOptions &withEpochMillis(
         u64 millis,
         std::source_location loc = std::source_location::current());

@@ -1,9 +1,9 @@
 /**
  * @file
- * The repo's only sanctioned mutex/condition-variable vocabulary.
+ * The repo's only sanctioned mutex vocabulary.
  *
- * mc::Mutex, mc::MutexLock and mc::CondVar wrap the standard primitives
- * with the Clang Thread Safety Analysis capability annotations
+ * mc::Mutex and mc::MutexLock wrap std::mutex with the Clang Thread
+ * Safety Analysis capability annotations
  * (util/thread_annotations.hpp), so every guarded member can name the
  * mutex that protects it and an access without the lock is a compile
  * error under the clang presets.  Raw std::mutex /
@@ -20,11 +20,8 @@
  *   - MutexLock: scope-shaped RAII holder, no unlock()/release() —
  *     early release hides the critical-section extent from both the
  *     reader and the analysis; end the scope instead.
- *   - CondVar: waits on the Mutex directly (condition_variable_any), so
- *     waiting code stays in the annotated vocabulary.  Only the
- *     while-loop form is supported: callers re-check their predicate
- *     around wait(), which is also what keeps
- *     bugprone-spuriously-wake-up-functions happy at call sites.
+ *
+ * There is no condition variable: nothing in the tree waits on one.
  *
  * docs/static_analysis.md ("Concurrency discipline") has the usage
  * rules and escape hatches.
@@ -33,12 +30,9 @@
 #ifndef MOLCACHE_UTIL_SYNC_HPP
 #define MOLCACHE_UTIL_SYNC_HPP
 
-#include <chrono>
-#include <condition_variable>
 #include <mutex>
 
 #include "util/thread_annotations.hpp"
-#include "util/types.hpp"
 
 namespace molcache {
 namespace mc {
@@ -70,7 +64,6 @@ class MOLCACHE_CAPABILITY("mutex") Mutex
     }
 
   private:
-    friend class CondVar;
     std::mutex m_;
 };
 
@@ -96,74 +89,6 @@ class MOLCACHE_SCOPED_CAPABILITY MutexLock
 
   private:
     Mutex &mutex_;
-};
-
-/**
- * A condition variable that waits on mc::Mutex directly.
- *
- * wait() must be called with the mutex held (TSA-enforced) and — like
- * every condition variable — inside a while loop re-checking the
- * condition, because wakeups may be spurious and the predicate usually
- * reads guarded state the analysis wants to see under the caller's own
- * lock scope:
- *
- *     mc::MutexLock lock(mutex_);
- *     while (!condition())   // reads MOLCACHE_GUARDED_BY(mutex_) state
- *         cv_.wait(mutex_);
- */
-class CondVar
-{
-  public:
-    CondVar() = default;
-    CondVar(const CondVar &) = delete;
-    CondVar &operator=(const CondVar &) = delete;
-
-    /**
-     * Atomically release @p mutex, sleep, and re-acquire before
-     * returning.  The enclosing while loop lives at the call site; the
-     * suppression below is the one place the "wait needs a loop" check
-     * cannot see the caller's loop.
-     */
-    void
-    wait(Mutex &mutex) MOLCACHE_REQUIRES(mutex)
-    {
-        // NOLINTNEXTLINE(bugprone-spuriously-wake-up-functions): the
-        // re-check loop is the documented caller contract (see above);
-        // this wrapper is the loop body, not the loop.
-        cv_.wait(mutex.m_);
-    }
-
-    /**
-     * wait() with a deadline: returns after a notification, a spurious
-     * wakeup or @p millis milliseconds, whichever comes first — the
-     * caller's while loop re-checks the predicate either way, so the
-     * return value would only invite skipping that re-check and is
-     * deliberately void.  This is what periodic control threads (the
-     * molcached epoch thread) use to both pace their work and notice a
-     * stop request promptly.
-     */
-    void
-    waitFor(Mutex &mutex, u64 millis) MOLCACHE_REQUIRES(mutex)
-    {
-        // NOLINTNEXTLINE(bugprone-spuriously-wake-up-functions): as with
-        // wait(), the re-check loop is the documented caller contract.
-        cv_.wait_for(mutex.m_, std::chrono::milliseconds(millis));
-    }
-
-    void
-    notifyOne()
-    {
-        cv_.notify_one();
-    }
-
-    void
-    notifyAll()
-    {
-        cv_.notify_all();
-    }
-
-  private:
-    std::condition_variable_any cv_;
 };
 
 } // namespace mc

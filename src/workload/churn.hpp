@@ -81,8 +81,8 @@ churnIsWrite(const ChurnTenantProfile &profile, RandomSource &rng)
 }
 
 /**
- * The seeded arrival/departure schedule.  Single-owner (the churn
- * driver thread); draws advance the internal RNG, so two processes
+ * The seeded arrival/departure schedule.  Single-owner (a drill's
+ * churn step, under its step mutex); draws advance the internal RNG, so two processes
  * with the same seed and call sequence are identical.
  */
 class ChurnProcess

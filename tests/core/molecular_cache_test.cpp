@@ -487,6 +487,40 @@ TEST(MolecularCache, RemoteWriteDropsTheWholeRegionLine)
     }
 }
 
+TEST(MolecularCache, TwoRegionsOfOneClusterHoldPrivateCopies)
+{
+    // ASID isolation gives each region its own copy of a shared
+    // address, even when both regions sit in one cluster.
+    MolecularCache cache(smallParams());
+    cache.registerApplication(Asid{0}, 0.1, ClusterId{0}, 0, 1);
+    cache.registerApplication(Asid{1}, 0.1, ClusterId{0}, 1, 1);
+    cache.access(read(0x1000, 0));
+    cache.access(read(0x1000, 1));
+    const auto rep = InvariantChecker::checkDirectory(cache);
+    EXPECT_TRUE(rep.ok()) << rep.violations.front();
+}
+
+TEST(MolecularCache, AuditReportsALineInTwoMoleculesOfOneRegion)
+{
+    MolecularCache cache(smallParams());
+    cache.registerApplication(Asid{0}, 0.1, ClusterId{0}, 0, 1);
+    cache.access(read(0x1000, 0));
+    // Plant a second copy in another molecule of the same region.
+    bool planted = false;
+    for (const auto &row : cache.region(Asid{0}).rows())
+        for (const MoleculeId id : row)
+            if (!planted && !cache.molecule(id).lookup(0x1000)) {
+                cache.molecule(id).fill(0x1000, false);
+                planted = true;
+            }
+    ASSERT_TRUE(planted);
+    const auto rep = InvariantChecker::checkDirectory(cache);
+    bool reported = false;
+    for (const std::string &v : rep.violations)
+        reported |= v.find("two molecules") != std::string::npos;
+    EXPECT_TRUE(reported);
+}
+
 TEST(MolecularCache, EnergyAccountingMonotone)
 {
     MolecularCache cache(smallParams());

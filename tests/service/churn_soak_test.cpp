@@ -112,7 +112,7 @@ mc::ServiceOptions
 soakOptions()
 {
     mc::ServiceOptions options;
-    options.withShards(2).withEpochMillis(0);
+    options.withShards(2);
     options.cache.resizePeriod = 256; // keep the control plane busy
     return options;
 }

@@ -5,11 +5,11 @@
  * backpressure, and the recovery-SLO telemetry (docs/fault_model.md,
  * "Service-level faults & the degradation ladder").
  *
- * Everything runs with epochMillis == 0 so the test paces the control
- * plane through runEpochNow(); chaos targets are predicted by building
- * the SAME seeded ChaosSchedule the service builds internally, so
- * tenants can be pinned onto (or away from) the doomed shard.  The
- * concurrent storm is bench/chaos_drill's job, not this file's.
+ * The test paces the control plane through runEpochNow(); chaos
+ * targets are predicted by building the SAME seeded ChaosSchedule the
+ * service builds internally, so tenants can be pinned onto (or away
+ * from) the doomed shard.  The concurrent storm is bench/chaos_drill's
+ * job, not this file's.
  */
 
 #include <gtest/gtest.h>
@@ -29,7 +29,7 @@ mc::ServiceOptions
 manualOptions(u32 shards = 2)
 {
     mc::ServiceOptions options;
-    options.withShards(shards).withEpochMillis(0);
+    options.withShards(shards);
     return options;
 }
 

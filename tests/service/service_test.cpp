@@ -1,10 +1,9 @@
 /**
  * @file
  * API semantics of mc::Service (molcached) — the single-threaded half
- * of the service suite.  Everything here runs with epochMillis == 0 so
- * the test paces epochs deterministically through runEpochNow(); the
- * concurrent half (drain under contention, zero-allocation windows)
- * lives in churn_soak_test.cpp.
+ * of the service suite.  The test paces epochs deterministically
+ * through runEpochNow(); the concurrent half (drain under contention,
+ * zero-allocation windows) lives in churn_soak_test.cpp.
  */
 
 #include <gtest/gtest.h>
@@ -22,20 +21,22 @@ mc::ServiceOptions
 manualOptions()
 {
     mc::ServiceOptions options;
-    options.withShards(2).withEpochMillis(0);
+    options.withShards(2);
     return options;
 }
 
 TEST(ServiceOptionsTest, SetterRecordsCallSiteOnBadArgument)
 {
     mc::ServiceOptions options;
-    options.withShards(0);
-    ASSERT_EQ(options.errors().size(), 1u);
-    // The recorded violation carries THIS file and names the knob.
-    EXPECT_NE(options.errors()[0].find("service_test.cpp"),
-              std::string::npos)
-        << options.errors()[0];
+    options.withShards(0).withEpochMillis(5);
+    ASSERT_EQ(options.errors().size(), 2u);
+    // Each recorded violation carries THIS file and names the knob.
+    for (const std::string &error : options.errors())
+        EXPECT_NE(error.find("service_test.cpp"), std::string::npos)
+            << error;
     EXPECT_NE(options.errors()[0].find("service.shards"), std::string::npos);
+    EXPECT_NE(options.errors()[1].find("service.epoch_millis"),
+              std::string::npos);
 }
 
 TEST(ServiceOptionsDeathTest, ValidateIsFatalOnRecordedErrors)
@@ -253,19 +254,6 @@ TEST(ServiceTest, ZeroGoalTakesTheCacheDefault)
     const mc::ServiceSummary summary = service.summary();
     ASSERT_EQ(summary.tenants.size(), 1u);
     EXPECT_DOUBLE_EQ(summary.tenants[0].goal, 0.2);
-}
-
-TEST(ServiceTest, ControlThreadPacesEpochsByItself)
-{
-    mc::ServiceOptions options = manualOptions();
-    options.withEpochMillis(1);
-    mc::Service service(options);
-    // The dtor's stop handshake plus the loop below cover the whole
-    // thread lifecycle; bounded wait so a wedged control thread fails
-    // the test instead of hanging it.
-    for (int i = 0; i < 2000 && service.epochsCompleted() < 3; ++i)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    EXPECT_GE(service.epochsCompleted(), 3u);
 }
 
 TEST(ServiceTest, SummaryJsonCarriesSchemaAndKind)

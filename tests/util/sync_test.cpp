@@ -52,89 +52,5 @@ TEST(Sync, TryLockFailsWhileHeld)
     EXPECT_FALSE(acquired);
 }
 
-TEST(Sync, CondVarWakesWaiter)
-{
-    mc::Mutex mutex;
-    mc::CondVar cv;
-    bool ready = false;
-    bool observed = false;
-
-    std::thread waiter([&] {
-        mc::MutexLock lock(mutex);
-        while (!ready)
-            cv.wait(mutex);
-        observed = true;
-    });
-
-    {
-        mc::MutexLock lock(mutex);
-        ready = true;
-    }
-    cv.notifyOne();
-    waiter.join();
-    EXPECT_TRUE(observed);
-}
-
-TEST(Sync, CondVarNotifyAllWakesEveryWaiter)
-{
-    mc::Mutex mutex;
-    mc::CondVar cv;
-    bool go = false;
-    int woke = 0;
-
-    std::vector<std::thread> waiters;
-    waiters.reserve(3);
-    for (int t = 0; t < 3; ++t)
-        waiters.emplace_back([&] {
-            mc::MutexLock lock(mutex);
-            while (!go)
-                cv.wait(mutex);
-            ++woke;
-        });
-
-    {
-        mc::MutexLock lock(mutex);
-        go = true;
-    }
-    cv.notifyAll();
-    for (std::thread &t : waiters)
-        t.join();
-    EXPECT_EQ(woke, 3);
-}
-
-TEST(Sync, CondVarWaitForWakesOnNotify)
-{
-    mc::Mutex mutex;
-    mc::CondVar cv;
-    bool go = false;
-    bool woke = false;
-
-    // A generous timeout: the test passes because notify wakes the
-    // waiter, not because the clock ran out.
-    std::thread waiter([&] {
-        mc::MutexLock lock(mutex);
-        while (!go)
-            cv.waitFor(mutex, 60'000);
-        woke = true;
-    });
-    {
-        mc::MutexLock lock(mutex);
-        go = true;
-    }
-    cv.notifyAll();
-    waiter.join();
-    EXPECT_TRUE(woke);
-}
-
-TEST(Sync, CondVarWaitForReturnsOnTimeout)
-{
-    mc::Mutex mutex;
-    mc::CondVar cv;
-    // Nobody ever notifies: waitFor must come back by itself (this is
-    // the control thread's pacing primitive), with the mutex re-held.
-    mc::MutexLock lock(mutex);
-    cv.waitFor(mutex, 1);
-}
-
 } // namespace
 } // namespace molcache

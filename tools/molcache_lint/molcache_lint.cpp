@@ -49,7 +49,7 @@
  *                       unique_lock/scoped_lock in src/ outside
  *                       src/util/sync.hpp -- unannotated primitives are
  *                       invisible to Clang Thread Safety Analysis; use
- *                       mc::Mutex/mc::MutexLock/mc::CondVar.
+ *                       mc::Mutex/mc::MutexLock.
  *  - unguarded-member:  a header class declaring an mc::Mutex whose
  *                       trailing-underscore data members carry neither a
  *                       MOLCACHE_GUARDED_BY annotation nor an explicit
@@ -63,8 +63,8 @@
  *                       (src/exec/thread_pool.*) -- detached threads
  *                       outlive scope unjoinably and break the
  *                       deterministic shutdown story.  A long-lived
- *                       owned thread (the molcached control plane) opts
- *                       out of the raw-thread half only with
+ *                       owned thread (none exists today) would opt out
+ *                       of the raw-thread half only with
  *                       `// lint: allow(raw-thread): <why>` on or just
  *                       above the declaration; .detach() has no hatch.
  *  - lock-across-call:  holding an mc::MutexLock across a user-callback

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <sstream>
 
 #include "contract/contract.hpp"
@@ -12,13 +13,6 @@
 #include "util/units.hpp"
 
 namespace molcache {
-
-namespace {
-
-/** The home-tile probes of a region with no molecule on its home tile. */
-const std::vector<MoleculeId> kNoMolecules;
-
-} // namespace
 
 MolecularCache::MolecularCache(const MolecularCacheParams &params)
     : params_(params), directory_(params.clusters), resizer_(params)
@@ -114,7 +108,8 @@ MolecularCache::registerApplication(Asid asid, double resizeGoal,
     auto [it, inserted] = regions_.emplace(
         std::piecewise_construct, std::forward_as_tuple(asid),
         std::forward_as_tuple(asid, params_.placement, lineMultiple,
-                              home_tile, cluster, params_.moleculeSize));
+                              home_tile, cluster, params_.moleculeSize,
+                              params_.moleculesPerTile));
     MOLCACHE_ENSURE(inserted, "region emplace failed");
     Region &region = it->second;
     if (regionIndex_.size() <= asid.value())
@@ -297,12 +292,69 @@ MolecularCache::freeMoleculesInCluster(ClusterId cluster) const
 
 Molecule *
 MolecularCache::probeTile(const Region &region, Tile &tile,
-                          const std::vector<MoleculeId> &mols, Addr addr)
+                          const TilePlacement::Entry &placed, Addr addr)
 {
-    // Line-major slots (Tile::lineTags): every probe of this scan reads
-    // one row, row + (id - first).  No software prefetch: the scanned
-    // slots are usually cache-resident, and prefetching two probes
-    // ahead measured ~10 % slower end to end (docs/perf.md).
+    // Row-at-once (Tile::lineFlags): the slots of line li sit in one
+    // row, so eight flag bytes load as one word.  Byte i of word w is
+    // the molecule at tile offset 8w + i (little-endian loads), exactly
+    // the byte the membership mask marks.
+    static_assert(std::endian::native == std::endian::little,
+                  "the row probe reads flag bytes as little-endian words");
+    constexpr u64 kBytes = 0x0101010101010101ull;
+    constexpr u64 kLow7 = 0x7f * kBytes;
+    const Addr tag = addr >> tagShift_;
+    const u32 li =
+        static_cast<u32>(addr >> lineShift_) & (linesPerMol_ - 1);
+    const size_t row = static_cast<size_t>(li) * tile.numMolecules();
+    const u8 *flags = tile.lineFlags() + row;
+    const Addr *tags = tile.lineTags() + row;
+    const u64 *member = region.byTile().membership(placed);
+    const u32 words = region.byTile().membershipWords();
+    const auto load = [flags](u32 w) {
+        u64 x;
+        std::memcpy(&x, flags + 8 * static_cast<size_t>(w), sizeof x);
+        return x;
+    };
+
+    // Keep the valid and key bits, XOR with the wanted byte, and mark
+    // each zero byte with its top bit (exact: no carry crosses a byte).
+    // Every region byte so marked is a valid slot whose partial tag
+    // matches; the full tag confirms it.  On a clean tile at most one
+    // region molecule holds the line (checkDirectory), so the first
+    // confirmed candidate is the hit.
+    constexpr u64 kKeep = (kLineValid | kLineKeyMask) * kBytes;
+    const u64 want = (kLineValid | lineKeyOf(tag)) * kBytes;
+    // Words without a region member are skipped: a region sparse on the
+    // tile (molcached's tenants) then pays for its few words only.
+    u64 poisoned = 0;
+    Molecule *hit = nullptr;
+    for (u32 w = 0; w < words; ++w) {
+        if (member[w] == 0)
+            continue;
+        const u64 f = load(w);
+        poisoned |= f & member[w];
+        const u64 x = (f & kKeep) ^ want;
+        u64 cand = ~(((x & kLow7) + kLow7) | x | kLow7) & member[w];
+        for (; cand != 0 && hit == nullptr; cand &= cand - 1) {
+            const u32 offset =
+                8 * w + static_cast<u32>(std::countr_zero(cand)) / 8;
+            if (tags[offset] == tag)
+                hit = &tile.molecule(tile.firstMolecule() + offset);
+        }
+    }
+    // A poisoned region slot anywhere in the row: only the grant-order
+    // walk scrubs in schedule order (fault drills only).  Poisoned
+    // slots of other regions are masked out.
+    if ((poisoned & (kLinePoisoned * kBytes)) != 0) [[unlikely]]
+        return probeInGrantOrder(region, tile, placed.molecules, addr);
+    return hit;
+}
+
+Molecule *
+MolecularCache::probeInGrantOrder(const Region &region, Tile &tile,
+                                  const std::vector<MoleculeId> &mols,
+                                  Addr addr)
+{
     const Addr tag = addr >> tagShift_;
     const u32 li =
         static_cast<u32>(addr >> lineShift_) & (linesPerMol_ - 1);
@@ -313,23 +365,14 @@ MolecularCache::probeTile(const Region &region, Tile &tile,
     for (const MoleculeId id : mols) {
         const u32 slot = row + (id - first);
         const u8 f = flags[slot];
-        // One rarely-taken branch per probe: non-short-circuit &/| read
-        // the tag whether or not the slot is valid, keeping the valid
-        // bit out of the branch.  Exact because poisoned implies valid
-        // (poisonLine only marks valid slots) and an invalid slot is
-        // all-zero (clearLine), so it never carries a poisoned bit.
-        const bool candidate =
-            (((f & kLineValid) != 0) & (tags[slot] == tag)) |
-            ((f & kLinePoisoned) != 0);
-        if (!candidate)
-            continue;
-        if ((f & kLinePoisoned) != 0) [[unlikely]] {
+        if ((f & kLinePoisoned) != 0) {
             // The probe read data + tag + parity; the poisoned slot
             // failed the parity check, is dropped, and reads as a miss.
             scrubRegionLine(region, tile.molecule(id), addr);
             continue;
         }
-        return &tile.molecule(id);
+        if ((f & kLineValid) != 0 && tags[slot] == tag)
+            return &tile.molecule(id);
     }
     return nullptr;
 }
@@ -434,15 +477,17 @@ MolecularCache::access(const MemAccess &a)
     // ascending order via Ulmo.  At most tilesPerCluster entries, so a
     // linear scan finds the home entry.
     const TilePlacement &placed = region.byTile();
-    const std::vector<MoleculeId> *home_mols = &kNoMolecules;
+    const TilePlacement::Entry *home_entry = nullptr;
     for (const TilePlacement::Entry &e : placed) {
         if (e.tile == home_tile) {
-            home_mols = &e.molecules;
+            home_entry = &e;
             break;
         }
     }
 
-    u32 probes = static_cast<u32>(home_mols->size());
+    u32 probes = home_entry != nullptr
+                     ? static_cast<u32>(home_entry->molecules.size())
+                     : 0;
     double energy = tileAccessEnergyNj(probes);
     // The ASID stage gates every tile visit; matching molecules of a
     // tile are probed in parallel behind the single port.
@@ -478,13 +523,13 @@ MolecularCache::access(const MemAccess &a)
                 ++wayMemoMispredicts_;
             }
         }
-        if (hit_mol == nullptr) {
-            hit_mol = probeTile(region, home, *home_mols, a.addr);
+        if (hit_mol == nullptr && home_entry != nullptr) {
+            hit_mol = probeTile(region, home, *home_entry, a.addr);
             if (hit_mol != nullptr)
                 *memo_slot = WayMemoEntry{tag_bits, hit_mol->id()};
         }
-    } else {
-        hit_mol = probeTile(region, home, *home_mols, a.addr);
+    } else if (home_entry != nullptr) {
+        hit_mol = probeTile(region, home, *home_entry, a.addr);
     }
 
     if (hit_mol == nullptr) {
@@ -497,8 +542,7 @@ MolecularCache::access(const MemAccess &a)
             latency += params_.ulmoHopCycles + params_.asidStageCycles +
                        params_.moleculeAccessCycles;
             probes += n;
-            hit_mol = probeTile(region, tiles_[e.tile.value()], e.molecules,
-                                a.addr);
+            hit_mol = probeTile(region, tiles_[e.tile.value()], e, a.addr);
             if (hit_mol != nullptr) {
                 level = 1;
                 break;

@@ -245,21 +245,33 @@ class MolecularCache final : public CacheModel, private MoleculeBroker
     }
 
     /**
-     * Probe @p mols (@p region's molecules on @p tile), in order;
-     * @return the first hit molecule or nullptr.  Scans one row of the
-     * tile's line-major struct-of-arrays tag view (Tile::lineTags) with
-     * one rarely-taken branch per probe; a poisoned slot met before the
-     * hit fails its parity check, is scrubbed in schedule order
-     * (scrubRegionLine) and reads as a miss, and nothing after the hit
-     * is touched.  The one tag-probe loop for home and remote tiles
-     * alike.
+     * Probe @p placed (@p region's molecules on @p tile) for @p addr;
+     * @return the hit molecule or nullptr.  One pass over the row of
+     * the tile's line-major view (Tile::lineFlags) that @p addr maps
+     * to, eight flag bytes per word: keep the valid and partial-tag
+     * bits, match them against the wanted byte, AND with the entry's
+     * membership mask, and confirm each candidate's full tag in offset
+     * order.  On a clean tile at most one region molecule holds the
+     * line, so the hit does not depend on order.  When a region slot
+     * of the row is poisoned the probe falls back to
+     * probeInGrantOrder, so poison is met in schedule order.  The one
+     * tag probe for home and remote tiles alike.
      */
     Molecule *probeTile(const Region &region, Tile &tile,
-                        const std::vector<MoleculeId> &mols, Addr addr);
+                        const TilePlacement::Entry &placed, Addr addr);
+
+    /** Probe @p mols in grant order, up to the first hit: a poisoned
+     * slot met before it fails its parity check, is scrubbed
+     * (scrubRegionLine) and reads as a miss, and nothing after the hit
+     * is touched.  Reached only when the row holds a poisoned region
+     * slot. */
+    [[gnu::noinline]] Molecule *
+    probeInGrantOrder(const Region &region, Tile &tile,
+                      const std::vector<MoleculeId> &mols, Addr addr);
 
     /** Drop the poisoned slot @p addr maps to in @p mol and the rest of
-     * its region line (dropRegionLine).  Kept out of probeTile: inlined
-     * there, it spread the probe loop and cost table2_mixed12 about
+     * its region line (dropRegionLine).  Kept out of the probe loop:
+     * inlined there, it spread the loop and cost table2_mixed12 about
      * 12 % of its refs/s. */
     [[gnu::noinline]] void scrubRegionLine(const Region &region,
                                            Molecule &mol, Addr addr);

@@ -110,7 +110,8 @@ Molecule::fill(Addr addr, bool dirty, Tick tick)
             const bool merged = (f & kLinePoisoned) != 0
                                     ? dirty
                                     : ((f & kLineDirty) != 0 || dirty);
-            flags_[s] = kLineValid | (merged ? kLineDirty : 0);
+            flags_[s] = kLineValid | lineKeyOf(tags_[s]) |
+                        (merged ? kLineDirty : 0);
             touched_[s] = tick;
             return std::nullopt;
         }
@@ -122,7 +123,7 @@ Molecule::fill(Addr addr, bool dirty, Tick tick)
         ++valid_;
     }
     tags_[s] = tagOf(addr);
-    flags_[s] = kLineValid | (dirty ? kLineDirty : 0);
+    flags_[s] = kLineValid | lineKeyOf(tags_[s]) | (dirty ? kLineDirty : 0);
     touched_[s] = tick;
     return evicted;
 }

@@ -30,14 +30,26 @@ struct Eviction
     bool poisoned = false;
 };
 
-/** @{ Per-line state bits of the struct-of-arrays tag view.  Line state
- * is split into three parallel tile-owned arrays (tags / recency stamps
- * / flag bytes), line-major, so the access path's tile probe reads one
- * row per scan; a molecule's own lines are a strided view of them
- * (docs/perf.md). */
+/** @{ The flag byte of one line slot.  Line state is split into three
+ * parallel tile-owned arrays (tags / recency stamps / flag bytes),
+ * line-major, so the access path's tile probe reads one row per scan;
+ * a molecule's own lines are a strided view of them (docs/perf.md).
+ * Bits 0-2 are the valid, dirty and poisoned bits; bits 3-7 hold the
+ * slot's partial tag, lineKeyOf(tag), written by every fill, so the
+ * probe can match a whole row of flag bytes at once before it reads a
+ * full tag.  An invalid slot is all-zero, key included. */
 inline constexpr u8 kLineValid = 1u << 0;
 inline constexpr u8 kLineDirty = 1u << 1;
 inline constexpr u8 kLinePoisoned = 1u << 2;
+inline constexpr u8 kLineKeyMask = 0xf8;
+
+/** Partial tag kept in a valid slot's flag byte: the tag's low 5 bits,
+ * in bits 3-7. */
+constexpr u8
+lineKeyOf(Addr tag)
+{
+    return static_cast<u8>((tag << 3) & kLineKeyMask);
+}
 /** @} */
 
 class Molecule

@@ -1,50 +1,78 @@
 #include "core/region.hpp"
 
 #include <algorithm>
+#include <cstddef>
 
 #include "contract/contract.hpp"
 #include "stats/counter.hpp"
 
 namespace molcache {
 
-TilePlacement::Entry *
-TilePlacement::find(TileId tile)
+TilePlacement::TilePlacement(u32 moleculesPerTile)
+    : molsPerTile_(moleculesPerTile), words_((moleculesPerTile + 7) / 8)
 {
-    const auto it = std::lower_bound(
-        entries_.begin(), entries_.end(), tile,
-        [](const Entry &e, TileId t) { return e.tile < t; });
-    return it != entries_.end() && it->tile == tile ? &*it : nullptr;
+    MOLCACHE_EXPECT(moleculesPerTile > 0, "tile with no molecules");
+}
+
+size_t
+TilePlacement::lowerBound(TileId tile) const
+{
+    return static_cast<size_t>(
+        std::lower_bound(entries_.begin(), entries_.end(), tile,
+                         [](const Entry &e, TileId t) { return e.tile < t; }) -
+        entries_.begin());
 }
 
 const TilePlacement::Entry *
 TilePlacement::find(TileId tile) const
 {
-    const auto it = std::lower_bound(
-        entries_.begin(), entries_.end(), tile,
-        [](const Entry &e, TileId t) { return e.tile < t; });
-    return it != entries_.end() && it->tile == tile ? &*it : nullptr;
+    const size_t i = lowerBound(tile);
+    return i < entries_.size() && entries_[i].tile == tile ? &entries_[i]
+                                                           : nullptr;
 }
 
-TilePlacement::Entry &
-TilePlacement::findOrCreate(TileId tile)
+u64 &
+TilePlacement::word(size_t index, MoleculeId mol)
 {
-    auto it = std::lower_bound(
-        entries_.begin(), entries_.end(), tile,
-        [](const Entry &e, TileId t) { return e.tile < t; });
-    if (it == entries_.end() || it->tile != tile)
-        it = entries_.insert(it, Entry{tile, {}});
-    return *it;
+    return membership_[index * words_ + mol.value() % molsPerTile_ / 8];
+}
+
+u64
+TilePlacement::byteOf(MoleculeId mol) const
+{
+    return u64{0xff} << (mol.value() % molsPerTile_ % 8 * 8);
 }
 
 void
-TilePlacement::erase(TileId tile)
+TilePlacement::add(TileId tile, MoleculeId mol)
 {
-    const auto it = std::lower_bound(
-        entries_.begin(), entries_.end(), tile,
-        [](const Entry &e, TileId t) { return e.tile < t; });
-    MOLCACHE_EXPECT(it != entries_.end() && it->tile == tile,
-                    "erasing a tile with no placement entry");
-    entries_.erase(it);
+    const size_t i = lowerBound(tile);
+    if (i == entries_.size() || entries_[i].tile != tile) {
+        entries_.insert(entries_.begin() + static_cast<std::ptrdiff_t>(i),
+                        Entry{tile, {}});
+        membership_.insert(membership_.begin() +
+                               static_cast<std::ptrdiff_t>(i * words_),
+                           size_t{words_}, u64{0});
+    }
+    entries_[i].molecules.push_back(mol);
+    word(i, mol) |= byteOf(mol);
+}
+
+void
+TilePlacement::remove(TileId tile, MoleculeId mol)
+{
+    const size_t i = lowerBound(tile);
+    MOLCACHE_EXPECT(i < entries_.size() && entries_[i].tile == tile,
+                    "molecule's tile has no placement entry");
+    auto &mols = entries_[i].molecules;
+    mols.erase(std::find(mols.begin(), mols.end(), mol));
+    word(i, mol) &= ~byteOf(mol);
+    if (mols.empty()) {
+        entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(i));
+        const auto first = membership_.begin() +
+                           static_cast<std::ptrdiff_t>(i * words_);
+        membership_.erase(first, first + words_);
+    }
 }
 
 const std::vector<MoleculeId> &
@@ -57,10 +85,11 @@ TilePlacement::at(TileId tile) const
 
 Region::Region(Asid asid, PlacementPolicy policy, u32 lineMultiple,
                TileId homeTile, ClusterId homeCluster, Bytes moleculeSize,
-               u32 initialRows)
+               u32 moleculesPerTile, u32 initialRows)
     : asid_(asid), policy_(policy), lineMultiple_(lineMultiple),
       homeTile_(homeTile), homeCluster_(homeCluster),
-      moleculeSize_(moleculeSize), initialRows_(initialRows)
+      moleculeSize_(moleculeSize), initialRows_(initialRows),
+      byTile_(moleculesPerTile)
 {
     MOLCACHE_EXPECT(lineMultiple_ >= 1, "line multiple must be >= 1");
     MOLCACHE_EXPECT(moleculeSize_ > Bytes{0}, "molecule size must be > 0");
@@ -133,7 +162,7 @@ Region::addMolecule(MoleculeId mol, TileId tile, bool initial)
         mols_.begin(), mols_.end(), mol,
         [](const MolEntry &e, MoleculeId m) { return e.mol < m; });
     mols_.insert(it, MolEntry{mol, tile, RowIndex{row}, 0});
-    byTile_.findOrCreate(tile).molecules.push_back(mol);
+    byTile_.add(tile, mol);
     ++size_;
     ++generation_;
 }
@@ -159,12 +188,7 @@ Region::removeMolecule(MoleculeId mol)
                 --e.row;
     }
 
-    TilePlacement::Entry *te = byTile_.find(tile);
-    MOLCACHE_EXPECT(te != nullptr, "molecule's tile has no placement entry");
-    auto &tileVec = te->molecules;
-    tileVec.erase(std::find(tileVec.begin(), tileVec.end(), mol));
-    if (tileVec.empty())
-        byTile_.erase(tile);
+    byTile_.remove(tile, mol);
 
     mols_.erase(std::lower_bound(
         mols_.begin(), mols_.end(), mol,

@@ -40,6 +40,16 @@ namespace molcache {
  * entries sorted by tile.  Shaped like the std::map it replaced —
  * range-for yields pair-like entries and at()/count()/size() keep
  * working — but contiguous, so the per-access walk is cache-friendly.
+ *
+ * Each entry has two views of the same membership.  `molecules` is the
+ * grant-order list (appended by Region::addMolecule): the poison walk,
+ * the Ulmo probe charge, LRU-Direct and the snoop walk it.  membership()
+ * is a byte mask for the one-pass tile probe: byte i of word w is 0xff
+ * when the molecule at tile offset 8w + i (id - the tile's first id)
+ * belongs to the region and 0 otherwise, laid out like a row of
+ * Tile::lineFlags() loaded eight bytes at a time.  Every entry has
+ * membershipWords() = ceil(moleculesPerTile / 8) words, kept in one
+ * flat array parallel to the entries.
  */
 class TilePlacement
 {
@@ -59,15 +69,37 @@ class TilePlacement
     const std::vector<MoleculeId> &at(TileId tile) const;
     size_t count(TileId tile) const { return find(tile) ? 1u : 0u; }
 
+    /** Words of every entry's membership mask. */
+    u32 membershipWords() const { return words_; }
+
+    /** Membership mask of @p e, an entry of this placement. */
+    const u64 *
+    membership(const Entry &e) const
+    {
+        return membership_.data() +
+               static_cast<size_t>(&e - entries_.data()) * words_;
+    }
+
   private:
     friend class Region;
-    Entry *find(TileId tile);
+    explicit TilePlacement(u32 moleculesPerTile);
+    /** Index of the first entry whose tile is not below @p tile. */
+    size_t lowerBound(TileId tile) const;
     const Entry *find(TileId tile) const;
-    /** Entry for @p tile, created (sorted) when missing. */
-    Entry &findOrCreate(TileId tile);
-    void erase(TileId tile);
+    /** Append @p mol to @p tile's entry (created, sorted, when missing)
+     * and set its membership byte. */
+    void add(TileId tile, MoleculeId mol);
+    /** Drop @p mol from @p tile's entry and clear its membership byte;
+     * an emptied entry is erased. */
+    void remove(TileId tile, MoleculeId mol);
+    /** @p mol's membership word in entry @p index, and its byte there. */
+    u64 &word(size_t index, MoleculeId mol);
+    u64 byteOf(MoleculeId mol) const;
 
-    std::vector<Entry> entries_; // sorted by tile
+    u32 molsPerTile_;
+    u32 words_;
+    std::vector<Entry> entries_;  // sorted by tile
+    std::vector<u64> membership_; // words_ per entry, parallel to entries_
 };
 
 class Region
@@ -80,6 +112,10 @@ class Region
      * @param homeTile     tile of the owning processor
      * @param homeCluster  cluster of the home tile
      * @param moleculeSize molecule capacity (bytes), fixes the row hash
+     * @param moleculesPerTile molecules per tile.  Molecule ids are
+     *                     numbered tile by tile, so a molecule's offset
+     *                     on its tile is id mod moleculesPerTile
+     *                     (TilePlacement::membership).
      * @param initialRows  Randy rows opened by the initial allocation
      *                     (initial molecules are dealt round-robin across
      *                     them, so each row starts with width ~=
@@ -89,7 +125,7 @@ class Region
      */
     Region(Asid asid, PlacementPolicy policy, u32 lineMultiple,
            TileId homeTile, ClusterId homeCluster, Bytes moleculeSize,
-           u32 initialRows = 8);
+           u32 moleculesPerTile, u32 initialRows = 8);
 
     Asid asid() const { return asid_; }
     TileId homeTile() const { return homeTile_; }

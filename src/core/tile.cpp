@@ -10,7 +10,9 @@ Tile::Tile(TileId id, ClusterId cluster, MoleculeId firstMolecule,
     : id_(id), cluster_(cluster), first_(firstMolecule),
       soaTags_(static_cast<size_t>(numMolecules) * linesPerMol, 0),
       soaTouched_(static_cast<size_t>(numMolecules) * linesPerMol, 0),
-      soaFlags_(static_cast<size_t>(numMolecules) * linesPerMol, 0),
+      soaFlags_(static_cast<size_t>(numMolecules) * linesPerMol +
+                    kLineFlagsPad,
+                0),
       free_(numMolecules)
 {
     MOLCACHE_EXPECT(numMolecules > 0, "tile with no molecules");

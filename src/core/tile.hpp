@@ -100,9 +100,17 @@ class Tile
      * line li of every molecule and a probe scan reads one row, not one
      * span per molecule.  Each molecule holds strided pointer views
      * (stride numMolecules()) into the same storage, so the view is
-     * coherent by construction.  An invalid slot is all-zero. */
+     * coherent by construction.  An invalid slot is all-zero.
+     *
+     * lineFlags() holds one flag byte per slot: valid, dirty and
+     * poisoned bits plus the partial tag lineKeyOf(tag) in bits 3-7
+     * (molecule.hpp).  The probe loads a row's flag bytes eight at a
+     * time, so the array carries kLineFlagsPad bytes past the last row:
+     * a word load that starts inside the last row stays in bounds.  The
+     * pad bytes are zero and never written. */
     const Addr *lineTags() const { return soaTags_.data(); }
     const u8 *lineFlags() const { return soaFlags_.data(); }
+    static constexpr u32 kLineFlagsPad = 8;
     /** @} */
 
   private:

@@ -1,9 +1,11 @@
 #include "fault/invariant_checker.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <map>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "contract/contract.hpp"
 #include "core/molecular_cache.hpp"
@@ -36,6 +38,8 @@ InvariantChecker::check(const MolecularCache &cache)
     // Region side: build the ownership map and audit every replacement
     // view on the way.
     std::map<MoleculeId, Asid> owner;
+    std::vector<u64> expected(
+        (static_cast<size_t>(p.moleculesPerTile) + 7) / 8);
     for (const Asid asid : cache.registeredAsids()) {
         const Region &region = cache.region(asid);
         const std::string who =
@@ -74,9 +78,31 @@ InvariantChecker::check(const MolecularCache &cache)
             fail(who + " rows hold " + std::to_string(row_total) +
                  " molecules but size()=" + std::to_string(region.size()));
 
+        // One check of the per-tile view: its totals, and each entry's
+        // membership mask, which must be derived from the entry's list
+        // (0xff at the tile offset of each listed molecule, zero
+        // elsewhere).
+        const TilePlacement &placed = region.byTile();
         u64 tile_total = 0;
-        for (const auto &[tile, mols] : region.byTile())
-            tile_total += mols.size();
+        for (const TilePlacement::Entry &e : placed) {
+            tile_total += e.molecules.size();
+            const Tile &tile = cache.tile(e.tile);
+            std::fill(expected.begin(), expected.end(), 0);
+            for (const MoleculeId id : e.molecules) {
+                if (!tile.owns(id)) {
+                    fail(who + " lists " + molName(id) + " under tile " +
+                         std::to_string(e.tile.value()));
+                    continue;
+                }
+                const u32 offset = id - tile.firstMolecule();
+                expected[offset / 8] |= u64{0xff} << (offset % 8 * 8);
+            }
+            if (!std::equal(expected.begin(), expected.end(),
+                            placed.membership(e)))
+                fail(who + " membership mask of tile " +
+                     std::to_string(e.tile.value()) +
+                     " disagrees with its molecule list");
+        }
         ++rep.checksRun;
         if (tile_total != region.size())
             fail(who + " byTile holds " + std::to_string(tile_total) +
@@ -195,6 +221,7 @@ InvariantChecker::checkDirectory(const MolecularCache &cache)
     std::unordered_map<u64, u32> lines;
     std::map<std::pair<u64, u16>, u32> regionCopies;
     u64 copies = 0;
+    const u32 lines_per_mol = p.linesPerMolecule();
     for (u32 t = 0; t < p.totalTiles(); ++t) {
         const Tile &tile = cache.tile(TileId{t});
         const u32 bit = 1u << tile.cluster().value();
@@ -207,6 +234,15 @@ InvariantChecker::checkDirectory(const MolecularCache &cache)
                     fail("line " + std::to_string(la) + " sits in two "
                          "molecules of the region of ASID " +
                          std::to_string(asid));
+                // The slot's flag byte carries the line's partial tag.
+                const u64 line = la / p.lineSize;
+                const size_t slot =
+                    line % lines_per_mol * tile.numMolecules() + (id - first);
+                if ((tile.lineFlags()[slot] & kLineKeyMask) !=
+                    lineKeyOf(line / lines_per_mol))
+                    fail("line " + std::to_string(la) + " in " +
+                         molName(id) + " has a flag byte key that "
+                         "mismatches its tag");
                 lines[la] |= bit;
                 ++copies;
             });

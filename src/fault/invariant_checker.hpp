@@ -6,13 +6,14 @@
  * replacement views — and cross-checks the bookkeeping that the fault
  * and resize machinery must keep consistent (docs/fault_model.md):
  *
- *  - every non-free, non-shared molecule is owned by exactly one region,
+ *  - every non-free molecule is owned by exactly one region,
  *    and its ASID gate matches that region's ASID;
  *  - no region claims a free or decommissioned molecule;
  *  - per-tile free counts match the molecules' actual gate state, and
  *    owned + free + decommissioned == total on every tile;
  *  - replacement views are internally consistent (row totals and
- *    per-tile totals both equal the region size);
+ *    per-tile totals both equal the region size), and each tile
+ *    entry's membership mask marks exactly its listed molecules;
  *  - valid-line counters match the resident-line sets;
  *  - decommissioned molecules are empty, fenced, and never admitted;
  *  - decommission tallies agree between tiles, Ulmos, and fault stats.
@@ -55,11 +56,15 @@ class InvariantChecker
      * @p cache's molecules: no line sits in two molecules of one
      * region (ASID), the directory counts exactly the resident copies, each
      * resident line's chunk mask carries its cluster's bit, and until
-     * some chunk is shared each mask carries exactly one bit.
+     * some chunk is shared each mask carries exactly one bit.  The same
+     * walk checks that each resident line's flag byte carries
+     * lineKeyOf(its tag), the partial tag the tile probe matches.
      *
-     * Not part of check(): it walks every resident line, and check()
-     * runs in every service epoch, whose shards are one-cluster caches
-     * with nothing to invalidate.
+     * Not part of check(): it reads every resident line's tag, and
+     * check() runs in every service epoch, whose shards are one-cluster
+     * caches with nothing to invalidate.  (check()'s valid-line count
+     * reads only flag bytes; reading the tags too would add about 100 us
+     * to every molcached_churn epoch.)
      */
     static Report checkDirectory(const MolecularCache &cache);
 

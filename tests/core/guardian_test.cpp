@@ -73,7 +73,7 @@ Region
 makeRegion(u32 molecules, u32 floor = 0)
 {
     Region r(Asid{1}, PlacementPolicy::Random, 1, TileId{0},
-             ClusterId{0}, 8_KiB);
+             ClusterId{0}, 8_KiB, 64);
     for (u32 m = 0; m < molecules; ++m)
         r.addMolecule(MoleculeId{m}, TileId{0}, true);
     r.maxAllocation = 8;
@@ -654,7 +654,7 @@ TEST(Guardian, SummaryAggregatesAcrossRegions)
     QosGuardian g(params());
     const Region a = makeRegion(8); // Asid 1 (makeRegion default)
     Region b(Asid{2}, PlacementPolicy::Random, 1, TileId{0}, ClusterId{0},
-             8_KiB);
+             8_KiB, 64);
     b.addMolecule(MoleculeId{50}, TileId{0}, true);
     b.capacityFloor = 2;
     for (u32 i = 0; i < kGuardianFeasibilityEpochs; ++i)

@@ -4,6 +4,7 @@
 
 #include <map>
 #include <set>
+#include <vector>
 
 #include "contract/contract.hpp"
 #include "util/units.hpp"
@@ -16,14 +17,15 @@ randyRegion(u32 initialRows = 4)
 {
     return Region(Asid{1}, PlacementPolicy::Randy, /*lineMultiple=*/1,
                   TileId{0}, ClusterId{0},
-                  /*moleculeSize=*/8_KiB, initialRows);
+                  /*moleculeSize=*/8_KiB, /*moleculesPerTile=*/64,
+                  initialRows);
 }
 
 Region
 randomRegion()
 {
     return Region(Asid{1}, PlacementPolicy::Random, 1, TileId{0},
-                  ClusterId{0}, 8_KiB);
+                  ClusterId{0}, 8_KiB, 64);
 }
 
 TEST(Region, InitialRowLayout)
@@ -143,6 +145,37 @@ TEST(Region, ByTileTracksPlacement)
     r.removeMolecule(MoleculeId{1});
     r.removeMolecule(MoleculeId{2});
     EXPECT_EQ(r.byTile().count(TileId{2}), 0u); // empty tile entry erased
+}
+
+TEST(Region, MembershipMaskMarksEachMoleculesTileOffset)
+{
+    // 12 molecules per tile: two mask words per entry, the second half
+    // used.  Tile 1 holds ids 12-23.
+    Region r(Asid{1}, PlacementPolicy::Random, 1, TileId{1}, ClusterId{0},
+             8_KiB, /*moleculesPerTile=*/12);
+    r.addMolecule(MoleculeId{23}, TileId{1}, true); // offset 11
+    r.addMolecule(MoleculeId{12}, TileId{1}, true); // offset 0
+    r.addMolecule(MoleculeId{4}, TileId{0}, false); // offset 4
+    const TilePlacement &placed = r.byTile();
+    ASSERT_EQ(placed.membershipWords(), 2u);
+    ASSERT_EQ(placed.size(), 2u);
+    const auto mask = [&placed](TileId tile) {
+        for (const TilePlacement::Entry &e : placed)
+            if (e.tile == tile)
+                return std::vector<u64>(placed.membership(e),
+                                        placed.membership(e) + 2);
+        return std::vector<u64>{};
+    };
+    EXPECT_EQ(mask(TileId{0}), (std::vector<u64>{0xffull << 32, 0}));
+    EXPECT_EQ(mask(TileId{1}), (std::vector<u64>{0xff, 0xffull << 24}));
+
+    // Removal clears the byte; the entry inserted before tile 1's
+    // moves its mask along with it, and an emptied entry drops its own.
+    r.removeMolecule(MoleculeId{23});
+    EXPECT_EQ(mask(TileId{1}), (std::vector<u64>{0xff, 0}));
+    r.removeMolecule(MoleculeId{4});
+    ASSERT_EQ(placed.size(), 1u);
+    EXPECT_EQ(mask(TileId{1}), (std::vector<u64>{0xff, 0}));
 }
 
 TEST(Region, IntervalCounters)

@@ -58,7 +58,7 @@ Region
 makeRegion(u32 molecules)
 {
     Region r(Asid{1}, PlacementPolicy::Random, 1, TileId{0},
-             ClusterId{0}, 8_KiB);
+             ClusterId{0}, 8_KiB, 64);
     for (u32 m = 0; m < molecules; ++m)
         r.addMolecule(MoleculeId{m}, TileId{0}, true);
     r.maxAllocation = 8;

@@ -83,14 +83,19 @@ TEST(Tile, LineMajorSlotLayout)
     t.molecule(a).fill(3 * span + 5 * 64, true);
     t.molecule(b).fill(9 * span + 7 * 64, false);
 
+    // A valid slot's flag byte carries its tag's low 5 bits in bits
+    // 3-7 (lineKeyOf): tag 3 -> 0x18, tag 9 -> 0x48.
     const Addr *tags = t.lineTags();
     const u8 *flags = t.lineFlags();
     EXPECT_EQ(tags[slot(a, 0)], 3u);
-    EXPECT_EQ(flags[slot(a, 0)], kLineValid);
+    EXPECT_EQ(flags[slot(a, 0)], 0x18 | kLineValid);
     EXPECT_EQ(tags[slot(a, 5)], 3u);
-    EXPECT_EQ(flags[slot(a, 5)], kLineValid | kLineDirty);
+    EXPECT_EQ(flags[slot(a, 5)], 0x18 | kLineValid | kLineDirty);
     EXPECT_EQ(tags[slot(b, 7)], 9u);
-    EXPECT_EQ(flags[slot(b, 7)], kLineValid);
+    EXPECT_EQ(flags[slot(b, 7)], 0x48 | kLineValid);
+    // A refill of a resident line keeps its key and merges dirty.
+    EXPECT_FALSE(t.molecule(a).fill(3 * span + 5 * 64, false).has_value());
+    EXPECT_EQ(flags[slot(a, 5)], 0x18 | kLineValid | kLineDirty);
     // The neighbour's slots in the same rows are untouched.
     for (const u32 li : {0u, 5u}) {
         EXPECT_EQ(tags[slot(b, li)], 0u);
@@ -107,7 +112,7 @@ TEST(Tile, LineMajorSlotLayout)
         EXPECT_EQ(flags[slot(a, li)], 0u) << "line " << li;
     }
     EXPECT_EQ(tags[slot(b, 7)], 9u);
-    EXPECT_EQ(flags[slot(b, 7)], kLineValid);
+    EXPECT_EQ(flags[slot(b, 7)], 0x48 | kLineValid);
     EXPECT_TRUE(t.molecule(b).lookup(9 * span + 7 * 64));
 }
 

@@ -23,7 +23,7 @@
 
 #include "bench_common.hpp"
 #include "cache/way_partitioned.hpp"
-#include "power/report.hpp"
+#include "power/cacti.hpp"
 #include "sim/experiment.hpp"
 #include "stats/table.hpp"
 #include "util/logging.hpp"
@@ -88,7 +88,7 @@ main(int argc, char **argv)
 
     const SweepReport report = bench::runSweep(cli, spec);
 
-    const CactiModel model(TechNode::Nm70);
+    const CactiModel model;
     CacheGeometry traditional_geometry;
     traditional_geometry.sizeBytes = size;
     traditional_geometry.associativity = assoc;

@@ -179,7 +179,7 @@ BENCHMARK(BM_HotpathTraditional)->Arg(8);
 void
 BM_CactiEvaluate(benchmark::State &state)
 {
-    const CactiModel model(TechNode::Nm70);
+    const CactiModel model;
     CacheGeometry g;
     g.sizeBytes = Bytes{static_cast<u64>(state.range(0)) << 20};
     g.associativity = 4;

@@ -30,7 +30,7 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "power/report.hpp"
+#include "power/cacti.hpp"
 #include "sim/experiment.hpp"
 #include "stats/table.hpp"
 #include "util/string_utils.hpp"
@@ -85,7 +85,7 @@ main(int argc, char **argv)
     const double worst_nj = mol.extra.at("worst_case_energy_nj");
     const double avg_nj = mol.result.avgEnergyPerAccessNj;
 
-    const CactiModel model(TechNode::Nm70);
+    const CactiModel model;
 
     bench::banner("Table 4: power at 70nm (mol avg from measured " +
                   std::to_string(refs) + "-ref mixed run)");

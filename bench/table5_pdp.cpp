@@ -18,7 +18,7 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "power/report.hpp"
+#include "power/cacti.hpp"
 #include "sim/experiment.hpp"
 #include "stats/metrics.hpp"
 #include "stats/table.hpp"
@@ -56,7 +56,7 @@ main(int argc, char **argv)
     const double mol_dev = mol.result.qos.averageDeviation;
     const double mol_avg_nj = mol.result.avgEnergyPerAccessNj;
 
-    const CactiModel model(TechNode::Nm70);
+    const CactiModel model;
 
     bench::banner("Table 5: power-deviation product (goal 25%, 12-app mix; "
                   "molecular = 6MB Randy at the row's frequency)");

@@ -7,7 +7,8 @@
 #   STDOUT   - (optional) set for benches without --json: the report is
 #              the bench's stdout, which prints results only, no timings
 #   ARGS     - (optional, STDOUT only) the bench's arguments as one
-#              space-separated string, in place of --refs 20000
+#              space-separated string, in place of --refs 20000; an
+#              empty ARGS runs the binary with no arguments
 #
 # The bench runs at --refs 20000 unless ARGS says otherwise.  A JSON sweep runs twice, serially
 # (--threads 1) and on two threads: its report is byte-identical for any

@@ -85,9 +85,6 @@ buildModel(const Config &cfg, const GoalSet &goals, size_t apps, u64 refs)
         SetAssocParams p;
         p.sizeBytes = size;
         p.associativity = static_cast<u32>(cfg.getInt("assoc", 8));
-        p.replacement =
-            parseReplPolicy(cfg.getString("replacement", "lru"));
-        p.seed = seed;
         return std::make_unique<SetAssocCache>(p);
     }
     if (model == "waypart") {

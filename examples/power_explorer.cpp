@@ -1,12 +1,11 @@
 /**
  * @file
- * Power explorer: walk the CACTI-style model over cache geometries and
- * print energy/cycle-time/power tables — the tool you reach for when
- * choosing molecule and tile sizes.
+ * Power explorer: walk the CACTI-style model (the paper's 70 nm node) over
+ * cache geometries and print energy/cycle-time/power tables — the tool
+ * you reach for when choosing molecule and tile sizes.
  *
  * Usage examples:
- *   power_explorer                         # default sweep at 70nm
- *   power_explorer --tech 100              # other node
+ *   power_explorer                         # default sweep
  *   power_explorer --size 64K --assoc 2    # evaluate one geometry
  */
 
@@ -47,13 +46,12 @@ main(int argc, char **argv)
 {
     CliParser cli("power_explorer",
                   "explore the analytical cache power/timing model");
-    cli.addOption("tech", "70", "technology node (130|100|70 nm)");
     cli.addOption("size", "", "evaluate a single size (e.g. 8K, 2M)");
     cli.addOption("assoc", "1", "associativity for --size");
     cli.addOption("ports", "1", "ports for --size");
     cli.parse(argc, argv);
 
-    const CactiModel model(parseTechNode(cli.str("tech")));
+    const CactiModel model;
     TablePrinter table({"what", "size", "assoc", "ports", "E/read (nJ)",
                         "cycle (ns)", "freq (MHz)", "power (W)", "mode",
                         "area (mm2)"});

@@ -42,8 +42,7 @@ SetAssocCache::SetAssocCache(const SetAssocParams &params)
     params_.validate();
     sets_ = params_.numSets();
     lines_.resize(static_cast<size_t>(sets_) * params_.associativity);
-    repl_ = makeReplacementState(params_.replacement, sets_,
-                                 params_.associativity, params_.seed);
+    stamps_.resize(lines_.size(), 0);
 }
 
 u32
@@ -58,16 +57,22 @@ SetAssocCache::tagOf(Addr addr) const
     return addr / params_.lineSize / sets_;
 }
 
+size_t
+SetAssocCache::slotOf(u32 set, u32 way) const
+{
+    return static_cast<size_t>(set) * params_.associativity + way;
+}
+
 SetAssocCache::Line &
 SetAssocCache::lineAt(u32 set, u32 way)
 {
-    return lines_[static_cast<size_t>(set) * params_.associativity + way];
+    return lines_[slotOf(set, way)];
 }
 
 const SetAssocCache::Line &
 SetAssocCache::lineAt(u32 set, u32 way) const
 {
-    return lines_[static_cast<size_t>(set) * params_.associativity + way];
+    return lines_[slotOf(set, way)];
 }
 
 AccessResult
@@ -84,7 +89,7 @@ SetAssocCache::access(const MemAccess &access)
     for (u32 w = 0; w < params_.associativity; ++w) {
         Line &line = lineAt(set, w);
         if (line.valid && line.tag == tag) {
-            repl_->touch(set, w);
+            stamps_[slotOf(set, w)] = ++clock_;
             if (access.isWrite())
                 line.dirty = true;
             result.latencyCycles = params_.hitLatencyCycles;
@@ -96,7 +101,8 @@ SetAssocCache::access(const MemAccess &access)
         }
     }
 
-    // Miss: find a fill slot — invalid way first, else policy victim.
+    // Miss: find a fill slot — invalid way first, else the LRU way (the
+    // first way holding the oldest stamp).
     u32 fill = params_.associativity;
     for (u32 w = 0; w < params_.associativity; ++w) {
         if (!lineAt(set, w).valid) {
@@ -104,9 +110,17 @@ SetAssocCache::access(const MemAccess &access)
             break;
         }
     }
-    if (fill == params_.associativity)
-        fill = repl_->victim(set);
-    MOLCACHE_ASSERT(fill < params_.associativity, "victim out of range");
+    if (fill == params_.associativity) {
+        fill = 0;
+        u64 oldest = stamps_[slotOf(set, 0)];
+        for (u32 w = 1; w < params_.associativity; ++w) {
+            const u64 stamp = stamps_[slotOf(set, w)];
+            if (stamp < oldest) {
+                oldest = stamp;
+                fill = w;
+            }
+        }
+    }
 
     Line &line = lineAt(set, fill);
     if (line.valid && line.dirty)
@@ -115,7 +129,7 @@ SetAssocCache::access(const MemAccess &access)
     line.tag = tag;
     line.asid = access.asid;
     line.dirty = access.isWrite();
-    repl_->insert(set, fill);
+    stamps_[slotOf(set, fill)] = ++clock_;
 
     result.latencyCycles =
         params_.hitLatencyCycles + params_.missPenaltyCycles;
@@ -135,7 +149,7 @@ SetAssocCache::name() const
         os << "direct-mapped";
     else
         os << params_.associativity << "-way";
-    os << " " << replPolicyName(params_.replacement);
+    os << " lru";
     return os.str();
 }
 

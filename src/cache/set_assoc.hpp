@@ -6,39 +6,34 @@
  * cache with a common line size and associativity for all applications.
  * It is trace driven and tracks per-ASID statistics so the interference
  * experiment (Table 1) and the deviation baselines (Figure 5, Table 2)
- * fall out directly.
+ * fall out directly.  Like the paper's Dinero IV runs, every set
+ * replaces its least recently used way.
  */
 
 #ifndef MOLCACHE_CACHE_SET_ASSOC_HPP
 #define MOLCACHE_CACHE_SET_ASSOC_HPP
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "cache/cache_model.hpp"
-#include "cache/replacement.hpp"
 #include "util/types.hpp"
 #include "util/units.hpp"
 
 namespace molcache {
 
-/** Geometry and policy of a traditional cache. */
+/** Geometry and timing of a traditional cache. */
 struct SetAssocParams
 {
     Bytes sizeBytes = 1_MiB;
     u32 associativity = 4;
     u32 lineSize = 64;
-    ReplPolicy replacement = ReplPolicy::Lru;
-    /** Read/write ports; only power reporting cares. */
-    u32 ports = 1;
     /** Dynamic energy per access (nJ); 0 disables energy accounting. */
     double energyPerAccessNj = 0.0;
     /** Hit latency in cache cycles. */
     Cycles hitLatencyCycles{1};
     /** Additional cycles a miss pays for the memory round trip. */
     Cycles missPenaltyCycles{200};
-    u64 seed = 1;
 
     u32 numSets() const;
     u32 numLines() const;
@@ -80,13 +75,17 @@ class SetAssocCache final : public CacheModel
 
     u32 setIndex(Addr addr) const;
     Addr tagOf(Addr addr) const;
+    size_t slotOf(u32 set, u32 way) const;
     Line &lineAt(u32 set, u32 way);
     const Line &lineAt(u32 set, u32 way) const;
 
     SetAssocParams params_;
     u32 sets_;
     std::vector<Line> lines_;
-    std::unique_ptr<ReplacementState> repl_;
+    /** LRU recency per line, parallel to lines_: the clock at its last
+     * touch.  Kept out of Line so the tag scan stays dense. */
+    std::vector<u64> stamps_;
+    u64 clock_ = 0;
     CacheStats stats_;
     double energyNj_ = 0.0;
 };

@@ -50,7 +50,7 @@ MolecularCache::MolecularCache(const MolecularCacheParams &params)
     if (params_.guardian.enabled)
         guardian_ = std::make_unique<QosGuardian>(params_);
 
-    const CactiModel model(TechNode::Nm70);
+    const CactiModel model;
     CacheGeometry mol;
     mol.sizeBytes = params_.moleculeSize;
     mol.associativity = 1;

@@ -137,9 +137,7 @@ buildJobModel(const SimJob &job)
     return std::visit(
         Overloaded{
             [&](const SetAssocParams &base) -> std::unique_ptr<CacheModel> {
-                SetAssocParams p = base;
-                p.seed = seed;
-                return std::make_unique<SetAssocCache>(p);
+                return std::make_unique<SetAssocCache>(base);
             },
             [&](const WayPartitionedParams &base)
                 -> std::unique_ptr<CacheModel> {

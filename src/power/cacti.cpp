@@ -8,6 +8,13 @@
 
 namespace molcache {
 
+namespace {
+
+/** Every formula below is scaled by the 70 nm constants. */
+constexpr const TechnologyParams &node = kTech70nm;
+
+} // namespace
+
 double
 dynamicPowerWatts(double energyNj, double freqMhz)
 {
@@ -15,19 +22,14 @@ dynamicPowerWatts(double energyNj, double freqMhz)
     return energyNj * freqMhz / 1000.0;
 }
 
-CactiModel::CactiModel(TechNode node)
-    : tech_(technology(node))
-{
-}
-
 CactiModel::ArrayCost
 CactiModel::costArray(u64 totalBits, u64 activeBits, u32 ports) const
 {
     MOLCACHE_ASSERT(totalBits > 0 && activeBits > 0, "empty array");
 
-    const double port_energy = 1.0 + tech_.portEnergyFactor * (ports - 1);
-    const double port_delay = 1.0 + tech_.portDelayFactor * (ports - 1);
-    const double port_lin = 1.0 + tech_.portAreaFactor * (ports - 1);
+    const double port_energy = 1.0 + node.portEnergyFactor * (ports - 1);
+    const double port_delay = 1.0 + node.portDelayFactor * (ports - 1);
+    const double port_lin = 1.0 + node.portAreaFactor * (ports - 1);
 
     // Organization search: subarrays of rows x cols bit cells.  Larger
     // subarrays save wire but cost bitline/wordline energy and delay;
@@ -58,33 +60,33 @@ CactiModel::costArray(u64 totalBits, u64 activeBits, u32 ports) const
             const double active_cols =
                 static_cast<double>(active_subs) * cols;
 
-            const double vdd = tech_.vdd;
-            const double swing = vdd * tech_.bitlineSwing;
+            const double vdd = node.vdd;
+            const double swing = vdd * node.bitlineSwing;
 
             // fJ component sums.
             const double e_bitline = active_cols * rows *
-                                     tech_.bitcellCapFf * vdd * swing;
+                                     node.bitcellCapFf * vdd * swing;
             const double e_wordline =
-                active_cols * tech_.wordlineCapFf * vdd * vdd;
-            const double e_sense = active_cols * tech_.senseAmpFj;
+                active_cols * node.wordlineCapFf * vdd * vdd;
+            const double e_sense = active_cols * node.senseAmpFj;
             const double e_decode =
                 (floorLog2(rows) + ceilLog2(subarrays)) *
-                tech_.decodeFjPerBit * static_cast<double>(active_subs);
+                node.decodeFjPerBit * static_cast<double>(active_subs);
 
             double energy_nj =
                 (e_bitline + e_wordline + e_sense + e_decode) * 1e-6;
             energy_nj *= port_energy;
 
             // Area: cells plus ~30% periphery, inflated by porting.
-            const double cell_mm2 = tech_.cellAreaUm2 * 1e-6;
+            const double cell_mm2 = node.cellAreaUm2 * 1e-6;
             const double area =
                 static_cast<double>(totalBits) * cell_mm2 * 1.3 *
                 port_lin * port_lin;
 
-            double delay_ns = tech_.decodeNsPerBit *
+            double delay_ns = node.decodeNsPerBit *
                                   (floorLog2(rows) + ceilLog2(subarrays)) +
-                              tech_.bitlineNsPerRow * rows +
-                              tech_.senseDelayNs;
+                              node.bitlineNsPerRow * rows +
+                              node.senseDelayNs;
             delay_ns *= port_delay;
 
             const double score = energy_nj * delay_ns * delay_ns;
@@ -105,18 +107,18 @@ CactiModel::costArray(u64 totalBits, u64 activeBits, u32 ports) const
 double
 CactiModel::wireEnergyNj(double areaMm2, u64 busBits, u32 ports) const
 {
-    const double port_energy = 1.0 + tech_.portEnergyFactor * (ports - 1);
+    const double port_energy = 1.0 + node.portEnergyFactor * (ports - 1);
     // Each bus bit traverses on average the half-perimeter of the array.
     const double flight_mm = 2.0 * std::sqrt(areaMm2);
-    return static_cast<double>(busBits) * flight_mm * tech_.wireCapFfPerMm *
-           tech_.vdd * tech_.vdd * 1e-6 * port_energy;
+    return static_cast<double>(busBits) * flight_mm * node.wireCapFfPerMm *
+           node.vdd * node.vdd * 1e-6 * port_energy;
 }
 
 double
 CactiModel::wireDelayNs(double areaMm2, u32 ports) const
 {
-    const double port_delay = 1.0 + tech_.portDelayFactor * (ports - 1);
-    return 2.0 * std::sqrt(areaMm2) * tech_.wireNsPerMm * port_delay;
+    const double port_delay = 1.0 + node.portDelayFactor * (ports - 1);
+    return 2.0 * std::sqrt(areaMm2) * node.wireNsPerMm * port_delay;
 }
 
 PowerTiming
@@ -160,9 +162,9 @@ CactiModel::evaluate(const CacheGeometry &g) const
                                     g.ports);
 
     const double compare_nj = static_cast<double>(tag_bits_active) *
-                              tech_.compareFjPerBit * 1e-6;
+                              node.compareFjPerBit * 1e-6;
     const double output_nj = static_cast<double>(line_bits) *
-                             tech_.outputFjPerBit * 1e-6;
+                             node.outputFjPerBit * 1e-6;
 
     const double area = data.org.areaMm2 + tag.org.areaMm2;
     // Address and active tags plus the selected way's line travel the
@@ -173,11 +175,11 @@ CactiModel::evaluate(const CacheGeometry &g) const
         area, g.addrBits + line_bits + tag_bits_active, g.ports);
     if (mode == AccessMode::Parallel && g.associativity > 1) {
         const double port_energy =
-            1.0 + tech_.portEnergyFactor * (g.ports - 1);
+            1.0 + node.portEnergyFactor * (g.ports - 1);
         const double mux_flight_mm = 0.25 * std::sqrt(area);
         wire_nj += static_cast<double>(g.associativity - 1) *
                    static_cast<double>(line_bits) * mux_flight_mm *
-                   tech_.wireCapFfPerMm * tech_.vdd * tech_.vdd * 1e-6 *
+                   node.wireCapFfPerMm * node.vdd * node.vdd * 1e-6 *
                    port_energy;
     }
     const double wire_ns = wireDelayNs(area, g.ports);
@@ -194,7 +196,7 @@ CactiModel::evaluate(const CacheGeometry &g) const
     // written way; model as read minus output plus one extra line swing.
     out.writeEnergyNj = out.readEnergyNj - output_nj +
                         static_cast<double>(line_bits) *
-                            tech_.bitcellCapFf * tech_.vdd * tech_.vdd * 1e-6;
+                            node.bitcellCapFf * node.vdd * node.vdd * 1e-6;
 
     const double compare_ns = 0.05 + 0.01 * floorLog2(tag_bits);
     if (mode == AccessMode::Parallel) {

@@ -87,15 +87,14 @@ struct PowerTiming
 /** Dynamic power in watts at @p freqMhz given @p energyNj per access. */
 double dynamicPowerWatts(double energyNj, double freqMhz);
 
+/** The model at the paper's 70 nm node (power/tech.hpp). */
 class CactiModel
 {
   public:
-    explicit CactiModel(TechNode node);
-
     /** Evaluate a geometry; fatal() on malformed geometry. */
     PowerTiming evaluate(const CacheGeometry &geometry) const;
 
-    const TechnologyParams &tech() const { return tech_; }
+    const TechnologyParams &tech() const { return kTech70nm; }
 
   private:
     struct ArrayCost
@@ -114,8 +113,6 @@ class CactiModel
     /** Global H-tree cost across @p areaMm2 carrying @p busBits. */
     double wireEnergyNj(double areaMm2, u64 busBits, u32 ports) const;
     double wireDelayNs(double areaMm2, u32 ports) const;
-
-    TechnologyParams tech_;
 };
 
 } // namespace molcache

@@ -6,21 +6,6 @@
 
 namespace molcache {
 
-PowerRow
-traditionalPowerRow(const CactiModel &model, const CacheGeometry &geometry,
-                    const std::string &label)
-{
-    const PowerTiming pt = model.evaluate(geometry);
-    PowerRow row;
-    row.label = label;
-    row.frequencyMhz = pt.frequencyMhz();
-    row.energyNj = pt.readEnergyNj;
-    row.cycleNs = pt.cycleNs;
-    row.areaMm2 = pt.areaMm2;
-    row.powerWatts = dynamicPowerWatts(pt.readEnergyNj, pt.frequencyMhz());
-    return row;
-}
-
 double
 molecularPerProbeEnergyNj(const CactiModel &model,
                           const CacheGeometry &moleculeGeometry,

@@ -1,33 +1,14 @@
 /**
  * @file
- * Helpers turning model outputs into the paper's power-report rows.
+ * The molecular cache's per-access energy, built from the CACTI model.
  */
 
 #ifndef MOLCACHE_POWER_REPORT_HPP
 #define MOLCACHE_POWER_REPORT_HPP
 
-#include <string>
-#include <vector>
-
 #include "power/cacti.hpp"
 
 namespace molcache {
-
-/** One row of a Table-4-style power report. */
-struct PowerRow
-{
-    std::string label;
-    double frequencyMhz = 0.0;
-    double powerWatts = 0.0;
-    double energyNj = 0.0;
-    double cycleNs = 0.0;
-    double areaMm2 = 0.0;
-};
-
-/** Evaluate a traditional cache geometry into a report row. */
-PowerRow traditionalPowerRow(const CactiModel &model,
-                             const CacheGeometry &geometry,
-                             const std::string &label);
 
 /**
  * Energy of one molecule probe, including the molecule's array access and

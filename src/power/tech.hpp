@@ -4,9 +4,9 @@
  *
  * The paper evaluates power with CACTI at 0.07 um.  molcache ships a
  * CACTI-flavoured analytical model (power/cacti.hpp) whose per-component
- * formulas are scaled by the constants below.  Three nodes are provided;
- * the 70 nm node is calibrated so an 8 MB direct-mapped 4-port cache
- * reproduces the paper's Table 4 operating point (~24.8 nJ/access,
+ * formulas are scaled by the constants below.  They describe the
+ * paper's one node, 70 nm, calibrated so an 8 MB direct-mapped 4-port
+ * cache reproduces the paper's Table 4 operating point (~24.8 nJ/access,
  * ~5 ns cycle => 4.93 W at 199 MHz) and an 8 KB molecule lands in the
  * sub-nanojoule regime reported for small caches by Mamidipaka & Dutt.
  */
@@ -14,22 +14,11 @@
 #ifndef MOLCACHE_POWER_TECH_HPP
 #define MOLCACHE_POWER_TECH_HPP
 
-#include <string>
-
-#include "util/types.hpp"
-
 namespace molcache {
 
-/** Process node selector. */
-enum class TechNode { Nm130, Nm100, Nm70 };
-
-/** Parse "130"/"100"/"70" (nm). */
-TechNode parseTechNode(const std::string &text);
-
-/** Per-node electrical constants (already include layout geometry). */
+/** Electrical constants of a node (already include layout geometry). */
 struct TechnologyParams
 {
-    std::string name;
     /** Supply voltage (V). */
     double vdd;
     /** Bitline swing fraction of vdd during a read. */
@@ -67,8 +56,26 @@ struct TechnologyParams
     double portAreaFactor;
 };
 
-/** Constants for @p node. */
-const TechnologyParams &technology(TechNode node);
+/** The 70 nm node: the calibration anchor (power/cacti.cpp, Table 4). */
+inline constexpr TechnologyParams kTech70nm = {
+    .vdd = 1.1,
+    .bitlineSwing = 0.25,
+    .bitcellCapFf = 1.8,
+    .wordlineCapFf = 1.4,
+    .senseAmpFj = 16.0,
+    .decodeFjPerBit = 95.0,
+    .compareFjPerBit = 24.0,
+    .wireCapFfPerMm = 310.0,
+    .wireNsPerMm = 0.062,
+    .cellAreaUm2 = 0.70,
+    .senseDelayNs = 0.22,
+    .decodeNsPerBit = 0.042,
+    .bitlineNsPerRow = 0.0015,
+    .outputFjPerBit = 24.0,
+    .portEnergyFactor = 0.70,
+    .portDelayFactor = 0.15,
+    .portAreaFactor = 0.45,
+};
 
 } // namespace molcache
 

@@ -9,15 +9,12 @@
 namespace molcache {
 
 SetAssocParams
-traditionalParams(Bytes sizeBytes, u32 associativity, u64 seed)
+traditionalParams(Bytes sizeBytes, u32 associativity)
 {
     SetAssocParams p;
     p.sizeBytes = sizeBytes;
     p.associativity = associativity;
     p.lineSize = 64;
-    p.replacement = ReplPolicy::Lru;
-    p.ports = 4; // the paper's traditional comparison point (Table 3)
-    p.seed = seed;
     return p;
 }
 

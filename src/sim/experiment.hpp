@@ -23,8 +23,7 @@ namespace molcache {
 inline constexpr u64 kPaperTraceLength = 3'900'000;
 
 /** Traditional baseline geometry used throughout the evaluation. */
-SetAssocParams traditionalParams(Bytes sizeBytes, u32 associativity,
-                                 u64 seed = 1);
+SetAssocParams traditionalParams(Bytes sizeBytes, u32 associativity);
 
 /**
  * Molecular geometry for Figure 5: 4 tiles in one cluster, 8 KiB

@@ -32,7 +32,6 @@ knownConfigKeys()
         {"placement", "placement policy: random | randy | lrudirect"},
         {"profiles", "comma-separated workload profile names"},
         {"refs", "references to simulate"},
-        {"replacement", "set-assoc replacement policy"},
         {"resize", "resize scheme: constant | global | perapp"},
         {"seed", "workload/model RNG seed"},
         {"size", "total cache capacity in bytes"},

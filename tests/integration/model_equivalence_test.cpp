@@ -71,7 +71,6 @@ TEST(ModelEquivalence, SoloWayPartitionedIsPlainLru)
     SetAssocParams sp;
     sp.sizeBytes = 64_KiB;
     sp.associativity = 4;
-    sp.replacement = ReplPolicy::Lru;
     SetAssocCache lru(sp);
 
     TraceGenerator gen(profileByName("gcc"), Asid{0}, 30000, 9);

@@ -26,7 +26,7 @@ TEST(Cacti, PowerConversion)
 
 TEST(Cacti, EnergyGrowsWithSize)
 {
-    const CactiModel m(TechNode::Nm70);
+    const CactiModel m;
     double prev = 0.0;
     for (const Bytes size : {8_KiB, 64_KiB, 1_MiB, 8_MiB}) {
         const double e = m.evaluate(geom(size, 1)).readEnergyNj;
@@ -37,7 +37,7 @@ TEST(Cacti, EnergyGrowsWithSize)
 
 TEST(Cacti, DelayGrowsWithSize)
 {
-    const CactiModel m(TechNode::Nm70);
+    const CactiModel m;
     const double small = m.evaluate(geom(8_KiB, 1)).cycleNs;
     const double large = m.evaluate(geom(8_MiB, 1)).cycleNs;
     EXPECT_GT(large, 2 * small);
@@ -45,7 +45,7 @@ TEST(Cacti, DelayGrowsWithSize)
 
 TEST(Cacti, EnergyGrowsWithParallelAssociativity)
 {
-    const CactiModel m(TechNode::Nm70);
+    const CactiModel m;
     const double e1 = m.evaluate(geom(8_MiB, 1, 4)).readEnergyNj;
     const double e2 = m.evaluate(geom(8_MiB, 2, 4)).readEnergyNj;
     const double e4 = m.evaluate(geom(8_MiB, 4, 4)).readEnergyNj;
@@ -57,7 +57,7 @@ TEST(Cacti, EnergyGrowsWithParallelAssociativity)
 
 TEST(Cacti, HighAssociativityGoesSequential)
 {
-    const CactiModel m(TechNode::Nm70);
+    const CactiModel m;
     const PowerTiming p4 = m.evaluate(geom(8_MiB, 4, 4));
     const PowerTiming p8 = m.evaluate(geom(8_MiB, 8, 4));
     EXPECT_EQ(p4.mode, AccessMode::Parallel);
@@ -72,7 +72,7 @@ TEST(Cacti, HighAssociativityGoesSequential)
 
 TEST(Cacti, PortsCostEnergyAndDelay)
 {
-    const CactiModel m(TechNode::Nm70);
+    const CactiModel m;
     const PowerTiming p1 = m.evaluate(geom(1_MiB, 4, 1));
     const PowerTiming p4 = m.evaluate(geom(1_MiB, 4, 4));
     EXPECT_GT(p4.readEnergyNj, 2 * p1.readEnergyNj);
@@ -85,7 +85,7 @@ TEST(Cacti, Table4OperatingPoints)
     // The calibration anchor: 8MB 4-port traditional caches should land
     // near the paper's Table 4 (tolerances are generous — shape, not
     // decimals).
-    const CactiModel m(TechNode::Nm70);
+    const CactiModel m;
     const PowerTiming dm = m.evaluate(geom(8_MiB, 1, 4));
     EXPECT_NEAR(dm.readEnergyNj, 24.8, 4.0);
     EXPECT_NEAR(dm.frequencyMhz(), 199, 40);
@@ -99,7 +99,7 @@ TEST(Cacti, Table4OperatingPoints)
 
 TEST(Cacti, MoleculeIsSubNanojoule)
 {
-    const CactiModel m(TechNode::Nm70);
+    const CactiModel m;
     CacheGeometry mol = geom(8_KiB, 1);
     mol.extraTagBits = 17;
     const PowerTiming pt = m.evaluate(mol);
@@ -108,18 +108,9 @@ TEST(Cacti, MoleculeIsSubNanojoule)
     EXPECT_LT(pt.cycleNs, 2.0);
 }
 
-TEST(Cacti, OlderNodesCostMore)
-{
-    const CactiModel m70(TechNode::Nm70);
-    const CactiModel m130(TechNode::Nm130);
-    const auto g = geom(1_MiB, 4);
-    EXPECT_GT(m130.evaluate(g).readEnergyNj, m70.evaluate(g).readEnergyNj);
-    EXPECT_GT(m130.evaluate(g).cycleNs, m70.evaluate(g).cycleNs);
-}
-
 TEST(Cacti, BreakdownSumsToTotal)
 {
-    const CactiModel m(TechNode::Nm70);
+    const CactiModel m;
     const PowerTiming pt = m.evaluate(geom(2_MiB, 4, 2));
     double sum = 0.0;
     for (const auto &[name, nj] : pt.energyBreakdownNj)
@@ -129,25 +120,16 @@ TEST(Cacti, BreakdownSumsToTotal)
 
 TEST(Cacti, WriteEnergyPositive)
 {
-    const CactiModel m(TechNode::Nm70);
+    const CactiModel m;
     const PowerTiming pt = m.evaluate(geom(1_MiB, 2));
     EXPECT_GT(pt.writeEnergyNj, 0.0);
 }
 
 TEST(CactiDeath, DegenerateGeometry)
 {
-    const CactiModel m(TechNode::Nm70);
+    const CactiModel m;
     CacheGeometry g = geom(Bytes{0}, 1);
     EXPECT_EXIT(m.evaluate(g), ::testing::ExitedWithCode(1), "degenerate");
-}
-
-TEST(Tech, ParseNodes)
-{
-    EXPECT_EQ(parseTechNode("70"), TechNode::Nm70);
-    EXPECT_EQ(parseTechNode("100nm"), TechNode::Nm100);
-    EXPECT_EQ(parseTechNode("130"), TechNode::Nm130);
-    EXPECT_EXIT(parseTechNode("45"), ::testing::ExitedWithCode(1),
-                "unknown technology");
 }
 
 } // namespace

@@ -17,25 +17,9 @@ moleculeGeom()
     return g;
 }
 
-TEST(Report, TraditionalRowConsistent)
-{
-    const CactiModel m(TechNode::Nm70);
-    CacheGeometry g;
-    g.sizeBytes = 8_MiB;
-    g.associativity = 4;
-    g.ports = 4;
-    const PowerRow row = traditionalPowerRow(m, g, "8MB 4way");
-    EXPECT_EQ(row.label, "8MB 4way");
-    EXPECT_GT(row.frequencyMhz, 0.0);
-    EXPECT_GT(row.energyNj, 0.0);
-    EXPECT_NEAR(row.powerWatts,
-                dynamicPowerWatts(row.energyNj, row.frequencyMhz), 1e-9);
-    EXPECT_NEAR(row.cycleNs, 1000.0 / row.frequencyMhz, 1e-9);
-}
-
 TEST(Report, MolecularEnergyLinearInProbes)
 {
-    const CactiModel m(TechNode::Nm70);
+    const CactiModel m;
     const auto g = moleculeGeom();
     const double e0 = molecularAccessEnergyNj(m, g, 64, 0);
     const double e1 = molecularAccessEnergyNj(m, g, 64, 1);
@@ -50,7 +34,7 @@ TEST(Report, WorstCaseTileNearTraditionalDm)
     // Table 4's key comparison: a fully-enabled 512KB tile (64 molecules)
     // costs the same order as an 8MB DM access — the molecular advantage
     // comes from NOT enabling everything.
-    const CactiModel m(TechNode::Nm70);
+    const CactiModel m;
     const double tile_worst = molecularAccessEnergyNj(m, moleculeGeom(),
                                                       64, 64);
     CacheGeometry dm;
@@ -63,7 +47,7 @@ TEST(Report, WorstCaseTileNearTraditionalDm)
 
 TEST(Report, SelectiveEnablementSavesEnergy)
 {
-    const CactiModel m(TechNode::Nm70);
+    const CactiModel m;
     const auto g = moleculeGeom();
     // A typical partition probes ~32 molecules; that should cost well
     // under the all-enabled worst case.
@@ -73,7 +57,7 @@ TEST(Report, SelectiveEnablementSavesEnergy)
 
 TEST(Report, BiggerTilesCostMoreFixed)
 {
-    const CactiModel m(TechNode::Nm70);
+    const CactiModel m;
     const auto g = moleculeGeom();
     EXPECT_GT(molecularTileFixedEnergyNj(m, g, 256),
               molecularTileFixedEnergyNj(m, g, 32));

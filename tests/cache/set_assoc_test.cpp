@@ -48,8 +48,40 @@ TEST(SetAssoc, GeometryDerivation)
 TEST(SetAssoc, LruEvictionWithinSet)
 {
     // 2-way, 64 sets. Three lines mapping to set 0 force an eviction of
-    // the least recently used; set 1 keeps its own recency, so the
-    // interleaved traffic there evicts the other way.
+    // the least recently used.
+    SetAssocCache cache(smallCache(2));
+    const u32 set_span = 64 * 64; // lineSize * sets
+    cache.access(read(0));                   // A
+    cache.access(read(set_span));            // B
+    cache.access(read(0));                   // touch A
+    cache.access(read(2 * set_span));        // C evicts B
+    EXPECT_TRUE(cache.access(read(0)).hit);  // A alive
+    EXPECT_FALSE(cache.access(read(set_span)).hit); // B gone
+}
+
+TEST(Replacement, LruEvictsOldest)
+{
+    // 4-way, 32 sets: fill set 0, then each further line evicts the way
+    // touched longest ago.
+    SetAssocCache cache(smallCache(4));
+    const u32 set_span = 64 * 32; // lineSize * sets
+    for (Addr i = 0; i < 4; ++i)
+        cache.access(read(i * set_span));    // A B C D
+    cache.access(read(4 * set_span));        // E evicts A (inserted first)
+    EXPECT_FALSE(cache.probe(0));
+    cache.access(read(1 * set_span));        // refresh B
+    cache.access(read(5 * set_span));        // F evicts C, now the oldest
+    EXPECT_FALSE(cache.probe(2 * set_span));
+    EXPECT_TRUE(cache.probe(1 * set_span));
+    EXPECT_TRUE(cache.probe(3 * set_span));
+    EXPECT_TRUE(cache.probe(4 * set_span));
+    EXPECT_TRUE(cache.probe(5 * set_span));
+}
+
+TEST(Replacement, LruPerSetIndependent)
+{
+    // 2-way, 64 sets. Sets 0 and 1 fill in opposite way order with their
+    // accesses interleaved; each set still evicts its own oldest way.
     SetAssocCache cache(smallCache(2));
     const u32 set_span = 64 * 64; // lineSize * sets
     const Addr set1 = 64;
